@@ -388,7 +388,7 @@ fn bench_overload(c: &mut Criterion) {
     // One overload_study cell: a 240-query mixed-criticality stream at
     // ~2x fleet capacity through two replicas. `fifo_2x` prices the
     // class-tagging bookkeeping alone; `priority_2x` adds the full
-    // admission controller (class-ranked sort, token buckets, slack/KV
+    // admission controller (class-ranked lane walks, token buckets, slack/KV
     // guards, queue aging); `priority_storm_2x` adds domain weather and
     // circuit breakers on top.
     let mix = PriorityMix::EDGE_MIX;

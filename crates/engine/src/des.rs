@@ -15,25 +15,38 @@
 //!   currently exist (backlogged or in flight). Keys ([`QKey`]) carry a
 //!   generation so a stale handle can never alias a recycled slot.
 //! * [`PendingQueue`] — lazy arrivals (drawn one at a time from an
-//!   [`ArrivalGen`]) feeding a seq-ordered ready deque plus a small
+//!   [`ArrivalGen`]) feeding one seq-ordered ready *lane* per priority
+//!   class (untagged traffic uses the Interactive lane only) plus a small
 //!   deferred set for retry backoff. Every operation the legacy loops
 //!   performed by scanning all n queries is answered here in O(log n) or
 //!   O(affected entries):
-//!   - earliest-ready instant: deque front + wakeup-heap peek + one
+//!   - earliest-ready instant: lane fronts + wakeup-heap peek + one
 //!     peeked arrival;
 //!   - deadline shed: arrivals are monotone in seq, so expired queries
-//!     form a *prefix* of the ready deque (popped, not scanned) plus a
-//!     scan of the small deferred set;
+//!     form a *prefix* of every lane (lane heads popped in seq-merged
+//!     order, not scanned) plus a scan of the small deferred set;
+//!   - queue aging: a class's target is fixed, so its aged queries are a
+//!     prefix of its lane, popped the same way;
 //!   - capacity shed: the newest waiting queries are a suffix of the
-//!     seq-ordered union, removed from the backs of both structures;
-//!   - admission: a seq-order merge walk of the two structures.
+//!     seq-ordered union, removed from the backs of the lanes and the
+//!     deferred set in seq-merged order;
+//!   - FIFO admission: a seq-order merge walk of the lanes and the
+//!     deferred set;
+//!   - priority admission ([`PendingQueue::walk_class`]): one class at a
+//!     time, its lane merged with its deferred retries. The slack guard's
+//!     hopeless queries (`now + est > arrival + deadline`) are again a
+//!     prefix, so the walk stops at the first query it can neither shed
+//!     nor admit — O(admitted + shed + deferred) per dispatch, whatever
+//!     the backlog.
 //!
-//! The decision sequence is bit-identical to the legacy scans: both
-//! structures are kept in seq (arrival) order, which is exactly the order
-//! the legacy `pending` vector maintained, and readiness filters use the
-//! same `ready_s <= now` comparisons (the wall clock can step *backwards*
-//! by a sub-jitter amount when a drained stepper snaps to a completion
-//! instant; the filters make that harmless, as in the legacy loops).
+//! The decision sequence is bit-identical to the legacy scans: lanes and
+//! deferred set are kept in seq (arrival) order, and every merge pops in
+//! global seq order, which is exactly the order the legacy `pending`
+//! vector maintained; readiness filters use the same `ready_s <= now`
+//! comparisons (the wall clock can step *backwards* by a sub-jitter
+//! amount when a drained stepper snaps to a completion instant; the
+//! filters make that harmless, as in the legacy loops). Sheds release
+//! arena slots in the same order too, so recycled keys match.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -130,124 +143,6 @@ impl<T> EventQueue<T> {
     }
 }
 
-/// A two-tier bucketed event queue (a simplified calendar queue, Brown
-/// 1988): a *near* tier sorted for O(1) pop plus an unsorted *far* tier
-/// refilled window-by-window. Pop order is identical to [`EventQueue`] —
-/// ascending `(time, insertion seq)` with the FIFO tie-break on bit-equal
-/// times — because both orders are the same total order; the 500-seed
-/// proptest in `tests/properties.rs` pins this.
-///
-/// Evaluated against the `BinaryHeap` under `serving/des_100k` and
-/// `cluster/des_3rep_100k` (see DESIGN.md §14): the retry-wakeup queue is
-/// small and bursty in both regimes, so the heap's cheaper pushes win and
-/// [`PendingQueue`] keeps [`EventQueue`]. The bucketed queue stays here —
-/// tested and benched — as the drop-in for a future high-rate regime where
-/// the pending-event set grows past the cache-friendly range.
-#[derive(Debug, Clone, Default)]
-#[cfg(test)]
-pub(crate) struct BucketQueue<T> {
-    /// Events below `horizon`, sorted descending so the earliest is last.
-    near: Vec<Event<T>>,
-    /// Events at or past `horizon`, unsorted.
-    far: Vec<Event<T>>,
-    horizon: f64,
-    next_seq: u64,
-}
-
-#[cfg(test)]
-impl<T: Copy> BucketQueue<T> {
-    /// Creates an empty queue.
-    pub(crate) fn new() -> Self {
-        Self {
-            near: Vec::new(),
-            far: Vec::new(),
-            horizon: f64::NEG_INFINITY,
-            next_seq: 0,
-        }
-    }
-
-    /// Ascending `(time, seq)` — the pop order shared with [`EventQueue`].
-    fn cmp_event(a: &Event<T>, b: &Event<T>) -> std::cmp::Ordering {
-        a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq))
-    }
-
-    /// Schedules `payload` at `time`.
-    pub(crate) fn push(&mut self, time: f64, payload: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let ev = Event { time, seq, payload };
-        if time < self.horizon {
-            // Keep the near tier sorted descending: binary-search from the
-            // back, where in-window pushes land in practice.
-            let pos = self
-                .near
-                .partition_point(|e| Self::cmp_event(e, &ev) == std::cmp::Ordering::Greater);
-            self.near.insert(pos, ev);
-        } else {
-            self.far.push(ev);
-        }
-    }
-
-    /// Moves the next window of far events into the near tier. The window
-    /// spans from the earliest far event to the mean far spacing times the
-    /// refill batch — a self-sizing bucket width that keeps each refill
-    /// roughly O(batch log batch) without tuning.
-    fn refill(&mut self) {
-        if self.far.is_empty() {
-            return;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in &self.far {
-            lo = lo.min(e.time);
-            hi = hi.max(e.time);
-        }
-        // Window width: span / count * batch, so ~`REFILL_BATCH` events
-        // move per refill under a uniform spread; degenerate spans (all
-        // equal times) take everything at once.
-        const REFILL_BATCH: f64 = 32.0;
-        let span = hi - lo;
-        let width = if span > 0.0 {
-            span / self.far.len() as f64 * REFILL_BATCH
-        } else {
-            f64::INFINITY
-        };
-        let horizon = if width.is_finite() {
-            (lo + width).max(lo)
-        } else {
-            f64::INFINITY
-        };
-        self.horizon = horizon;
-        // `horizon > lo` always (width > 0), so at least the earliest far
-        // event moves and refill never spins.
-        let mut i = 0;
-        while i < self.far.len() {
-            if self.far[i].time < horizon {
-                self.near.push(self.far.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.near.sort_unstable_by(|a, b| Self::cmp_event(b, a));
-    }
-
-    /// Earliest event, if any.
-    pub(crate) fn peek(&mut self) -> Option<(f64, &T)> {
-        if self.near.is_empty() {
-            self.refill();
-        }
-        self.near.last().map(|e| (e.time, &e.payload))
-    }
-
-    /// Removes and returns the earliest event.
-    pub(crate) fn pop(&mut self) -> Option<(f64, T)> {
-        if self.near.is_empty() {
-            self.refill();
-        }
-        self.near.pop().map(|e| (e.time, e.payload))
-    }
-}
-
 /// Generational handle into a [`QueryArena`] slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct QKey {
@@ -258,7 +153,7 @@ pub(crate) struct QKey {
 /// Where a pending query currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueryPhase {
-    /// In the ready deque (`ready_s == arrival_s`).
+    /// In its class's ready lane (`ready_s == arrival_s`).
     Ready,
     /// In the deferred set awaiting a retry-backoff instant.
     Deferred,
@@ -351,6 +246,17 @@ impl QueryArena {
     }
 }
 
+/// What [`PendingQueue::walk_class`] does with the query under its cursor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Visit {
+    /// Shed it (counted in its class's ledger, slot released) and go on.
+    Shed,
+    /// Leave it queued — the caller admits it — and go on.
+    Take,
+    /// End the walk.
+    Stop,
+}
+
 /// The lazy pending-query queue driving a scheduler loop; see module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingQueue {
@@ -361,9 +267,11 @@ pub(crate) struct PendingQueue {
     /// One drawn-but-future arrival instant (the lazy lookahead).
     peeked: Option<f64>,
     next_seq: u64,
-    /// Arrived, never-deferred queries in seq order (`ready_s` monotone).
-    ready: VecDeque<QKey>,
-    /// Retry-backoff queries, kept sorted by seq; small in practice.
+    /// Arrived, never-deferred queries, one lane per class indexed by
+    /// [`Priority::index`], each in seq order (`ready_s` monotone).
+    lanes: [VecDeque<QKey>; 3],
+    /// Retry-backoff queries of every class, kept sorted by seq; small in
+    /// practice.
     deferred: Vec<QKey>,
     /// Retry wakeups (stale entries dropped lazily on peek).
     wakeups: EventQueue<QKey>,
@@ -389,7 +297,7 @@ impl PendingQueue {
             remaining: total_queries,
             peeked: None,
             next_seq: 0,
-            ready: VecDeque::new(),
+            lanes: Default::default(),
             deferred: Vec::new(),
             wakeups: EventQueue::new(),
             defs_scratch: Vec::new(),
@@ -432,10 +340,15 @@ impl PendingQueue {
         self.arena.release(k);
     }
 
+    /// Arrival sequence number of `k` (`u64::MAX` for a stale key).
+    fn seq_of(&self, k: QKey) -> u64 {
+        self.arena.get(k).map_or(u64::MAX, |s| s.seq)
+    }
+
     /// Whether every query has been admitted, shed or dropped (the legacy
     /// `pending.is_empty()`).
     pub(crate) fn is_exhausted(&self) -> bool {
-        self.ready.is_empty()
+        self.lanes.iter().all(VecDeque::is_empty)
             && self.deferred.is_empty()
             && self.remaining == 0
             && self.peeked.is_none()
@@ -444,7 +357,19 @@ impl PendingQueue {
     /// Queries currently backlogged (ready + deferred), for diagnostics.
     #[cfg(test)]
     pub(crate) fn backlog(&self) -> usize {
-        self.ready.len() + self.deferred.len()
+        self.lanes.iter().map(VecDeque::len).sum::<usize>() + self.deferred.len()
+    }
+
+    /// Every backlogged key — the lanes in class order, then the deferred
+    /// set — for comparing two queues' remaining state.
+    #[cfg(test)]
+    pub(crate) fn backlog_keys(&self) -> Vec<QKey> {
+        self.lanes
+            .iter()
+            .flatten()
+            .chain(&self.deferred)
+            .copied()
+            .collect()
     }
 
     /// Arrival instant of `k` (NaN for a stale key, which would poison the
@@ -482,8 +407,10 @@ impl PendingQueue {
     /// plus the next undrawn arrival. `INFINITY` when exhausted.
     pub(crate) fn min_ready(&mut self) -> f64 {
         let mut m = f64::INFINITY;
-        if let Some(&k) = self.ready.front() {
-            if let Some(s) = self.arena.get(k) {
+        // A lane's front is its earliest entry; the oldest of the fronts
+        // is the legacy queue's front.
+        for lane in &self.lanes {
+            if let Some(s) = lane.front().and_then(|&k| self.arena.get(k)) {
                 m = m.min(s.ready_s);
             }
         }
@@ -505,7 +432,7 @@ impl PendingQueue {
         m
     }
 
-    /// Materializes every arrival at or before `now` into the ready deque.
+    /// Materializes every arrival at or before `now` into its class lane.
     pub(crate) fn pump(&mut self, now: f64) {
         loop {
             self.draw_peek();
@@ -530,132 +457,142 @@ impl PendingQueue {
                 class,
                 phase: QueryPhase::Ready,
             });
-            self.ready.push_back(k);
+            self.lanes[class.index()].push_back(k);
         }
+    }
+
+    /// Pops, oldest first across the lanes, every lane head `doomed`
+    /// condemns, shedding each; returns the count. Exact when `doomed`
+    /// holds on a prefix of every lane — true of any test monotone in
+    /// `arrival_s`, which is monotone in seq — because the oldest condemned
+    /// head is then the next query a seq-order scan would shed.
+    fn shed_lane_heads(&mut self, doomed: impl Fn(&QuerySlot) -> bool) -> usize {
+        let mut n = 0;
+        loop {
+            let mut oldest: Option<(u64, usize)> = None;
+            for (c, lane) in self.lanes.iter().enumerate() {
+                let Some(s) = lane.front().and_then(|&k| self.arena.get(k)) else {
+                    continue;
+                };
+                if doomed(s) && oldest.is_none_or(|(seq, _)| s.seq < seq) {
+                    oldest = Some((s.seq, c));
+                }
+            }
+            let Some((_, c)) = oldest else { return n };
+            if let Some(k) = self.lanes[c].pop_front() {
+                self.note_shed(k);
+                n += 1;
+            }
+        }
+    }
+
+    /// Sheds every deferred query `doomed` condemns, in seq order.
+    fn shed_deferred(&mut self, doomed: impl Fn(&QuerySlot) -> bool) -> usize {
+        let mut n = 0;
+        let mut i = 0;
+        while i < self.deferred.len() {
+            let k = self.deferred[i];
+            if self.arena.get(k).is_some_and(&doomed) {
+                self.deferred.remove(i);
+                self.note_shed(k);
+                n += 1;
+            } else {
+                i += 1;
+            }
+        }
+        n
     }
 
     /// Sheds every pending query whose deadline has already passed
     /// (`now > arrival_s + deadline_s`), returning the shed count.
-    /// Expired queries are a prefix of the ready deque (arrivals are
-    /// monotone in seq) plus whatever the deferred scan finds.
+    /// Expired queries are a prefix of every lane (arrivals are monotone
+    /// in seq) plus whatever the deferred scan finds.
     pub(crate) fn shed_expired(&mut self, now: f64, deadline_s: f64) -> usize {
-        let mut n = 0;
-        while let Some(&k) = self.ready.front() {
-            let expired = self
-                .arena
-                .get(k)
-                .is_some_and(|s| now > s.arrival_s + deadline_s);
-            if !expired {
-                break;
-            }
-            self.ready.pop_front();
-            self.note_shed(k);
-            n += 1;
-        }
-        let mut i = 0;
-        while i < self.deferred.len() {
-            let k = self.deferred[i];
-            let expired = self
-                .arena
-                .get(k)
-                .is_some_and(|s| now > s.arrival_s + deadline_s);
-            if expired {
-                self.deferred.remove(i);
-                self.note_shed(k);
-                n += 1;
-            } else {
-                i += 1;
-            }
-        }
-        n
+        let expired = |s: &QuerySlot| now > s.arrival_s + deadline_s;
+        self.shed_lane_heads(expired) + self.shed_deferred(expired)
     }
 
     /// CoDel-style queue aging: sheds every waiting query older than its
     /// class's target (`now - arrival_s > targets[class]`), returning the
-    /// shed count. All-infinite targets short-circuit to a no-op.
+    /// shed count. A lane holds one class, so its aged queries are a
+    /// prefix. All-infinite targets short-circuit to a no-op.
     pub(crate) fn shed_aged(&mut self, now: f64, targets: &[f64; 3]) -> usize {
         if targets.iter().all(|t| t.is_infinite()) {
             return 0;
         }
+        let aged = |s: &QuerySlot| now - s.arrival_s > targets[s.class.index()];
+        self.shed_lane_heads(aged) + self.shed_deferred(aged)
+    }
+
+    /// The single-deque [`shed_aged`](Self::shed_aged): every ready query
+    /// visited in seq order and shed where it stands. The differential
+    /// oracle for the lane-prefix version.
+    #[cfg(test)]
+    pub(crate) fn shed_aged_reference(&mut self, now: f64, targets: &[f64; 3]) -> usize {
+        if targets.iter().all(|t| t.is_infinite()) {
+            return 0;
+        }
+        let aged = |s: &QuerySlot| now - s.arrival_s > targets[s.class.index()];
+        let mut ready: Vec<QKey> = self.lanes.iter().flatten().copied().collect();
+        ready.sort_by_key(|&k| self.seq_of(k));
         let mut n = 0;
-        let mut i = 0;
-        while i < self.ready.len() {
-            let Some(&k) = self.ready.get(i) else { break };
-            let aged = self
-                .arena
-                .get(k)
-                .is_some_and(|s| now - s.arrival_s > targets[s.class.index()]);
-            if aged {
-                self.ready.remove(i);
-                self.note_shed(k);
+        for k in ready {
+            if self.arena.get(k).is_some_and(aged) && self.shed_key(k) {
                 n += 1;
-            } else {
-                i += 1;
             }
         }
-        let mut i = 0;
-        while i < self.deferred.len() {
-            let k = self.deferred[i];
-            let aged = self
-                .arena
-                .get(k)
-                .is_some_and(|s| now - s.arrival_s > targets[s.class.index()]);
-            if aged {
-                self.deferred.remove(i);
-                self.note_shed(k);
-                n += 1;
-            } else {
-                i += 1;
-            }
-        }
-        n
+        n + self.shed_deferred(aged)
     }
 
     /// Sheds one specific waiting query (slack-guard and liveness drops).
     /// Returns false — and does nothing — for a stale or in-flight key.
     pub(crate) fn shed_key(&mut self, k: QKey) -> bool {
-        let phase = self.arena.get(k).map(|s| s.phase);
-        match phase {
-            Some(QueryPhase::Ready) => {
-                if self.ready.front() == Some(&k) {
-                    self.ready.pop_front();
-                } else if let Some(pos) = self.ready.iter().position(|&r| r == k) {
-                    self.ready.remove(pos);
-                }
-            }
-            Some(QueryPhase::Deferred) => self.remove_deferred(k),
-            _ => return false,
+        if !self.unqueue(k) {
+            return false;
         }
         self.note_shed(k);
         true
     }
 
-    /// Index of the first ready-deque entry with `ready_s > now` (the
-    /// deque is `ready_s`-monotone, so entries before it are admissible).
-    fn ready_now_len(&self, now: f64) -> usize {
-        let mut lo = 0;
-        let mut hi = self.ready.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let ok = self
-                .ready
-                .get(mid)
-                .and_then(|&k| self.arena.get(k))
-                .is_some_and(|s| s.ready_s <= now);
-            if ok {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+    /// Takes waiting query `k` out of its lane or the deferred set; false
+    /// (and nothing) for a stale or in-flight key. The scheduler only ever
+    /// takes a ready query after every older one of its class has left
+    /// the lane, so `k` is its lane's head — popped, not searched for.
+    fn unqueue(&mut self, k: QKey) -> bool {
+        let Some((phase, class)) = self.arena.get(k).map(|s| (s.phase, s.class)) else {
+            return false;
+        };
+        match phase {
+            QueryPhase::Ready => {
+                let lane = &mut self.lanes[class.index()];
+                if lane.front() == Some(&k) {
+                    lane.pop_front();
+                } else if let Some(pos) = lane.iter().position(|&r| r == k) {
+                    lane.remove(pos);
+                }
             }
+            QueryPhase::Deferred => self.remove_deferred(k),
+            QueryPhase::InFlight => return false,
         }
-        lo
+        true
     }
 
     /// Bounded-queue load shedding: if more than `capacity` queries are
     /// waiting (`ready_s <= now`), sheds the newest (highest-seq) excess
     /// and returns the count — the legacy `waiting[capacity..]` cut.
     pub(crate) fn shed_over_capacity(&mut self, now: f64, capacity: usize) -> usize {
-        let mut r_end = self.ready_now_len(now);
+        // Per lane, the admissible entries are a prefix (`ready_s` is
+        // monotone along a lane): the whole lane unless the clock stepped
+        // back behind its newest arrivals.
+        let is_ready = |k: &QKey| self.arena.get(*k).is_some_and(|s| s.ready_s <= now);
+        let mut r_end = [0usize; 3];
+        for (end, lane) in r_end.iter_mut().zip(&self.lanes) {
+            *end = if lane.back().is_none_or(is_ready) {
+                lane.len()
+            } else {
+                lane.partition_point(is_ready)
+            };
+        }
         let mut defs = std::mem::take(&mut self.defs_scratch);
         defs.clear();
         defs.extend((0..self.deferred.len()).filter(|&i| {
@@ -663,7 +600,7 @@ impl PendingQueue {
                 .get(self.deferred[i])
                 .is_some_and(|s| s.ready_s <= now)
         }));
-        let total = r_end + defs.len();
+        let total = r_end.iter().sum::<usize>() + defs.len();
         if total <= capacity {
             self.defs_scratch = defs;
             return 0;
@@ -671,26 +608,30 @@ impl PendingQueue {
         let mut excess = total - capacity;
         let shed = excess;
         while excess > 0 {
-            let ready_seq = (r_end > 0)
-                .then(|| self.ready.get(r_end - 1).copied())
-                .flatten()
-                .and_then(|k| self.arena.get(k))
-                .map(|s| s.seq);
-            let def_seq = defs
-                .last()
-                .and_then(|&i| self.arena.get(self.deferred[i]))
-                .map(|s| s.seq);
-            let take_ready = match (ready_seq, def_seq) {
-                (Some(r), Some(d)) => r > d,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+            // The newest waiting query: the highest seq among the lanes'
+            // last admissible entries and the last ready deferred one.
+            let mut newest: Option<(u64, usize)> = None;
+            for (c, lane) in self.lanes.iter().enumerate() {
+                let Some(&k) = r_end[c].checked_sub(1).and_then(|i| lane.get(i)) else {
+                    continue;
+                };
+                let seq = self.seq_of(k);
+                if newest.is_none_or(|(s, _)| seq > s) {
+                    newest = Some((seq, c));
+                }
+            }
+            let def_seq = defs.last().map(|&i| self.seq_of(self.deferred[i]));
+            let lane = match (newest, def_seq) {
+                (Some((r, c)), Some(d)) => (r > d).then_some(c),
+                (Some((_, c)), None) => Some(c),
+                (None, Some(_)) => None,
                 (None, None) => break,
             };
-            if take_ready {
-                if let Some(k) = self.ready.remove(r_end - 1) {
+            if let Some(c) = lane {
+                r_end[c] -= 1;
+                if let Some(k) = self.lanes[c].remove(r_end[c]) {
                     self.note_shed(k);
                 }
-                r_end -= 1;
             } else if let Some(i) = defs.pop() {
                 let k = self.deferred.remove(i);
                 self.note_shed(k);
@@ -702,22 +643,29 @@ impl PendingQueue {
     }
 
     /// Collects up to `limit` admissible queries (`ready_s <= now`) in seq
-    /// order into `out` — the legacy in-order scan of `pending` — without
-    /// removing them (removal happens at [`commit_admitted`]
-    /// (Self::commit_admitted) only if the engine accepts the batch).
+    /// order into `out` — the legacy in-order scan of `pending`, merged
+    /// from the lane fronts and the deferred set — without removing them
+    /// (removal happens at [`commit_admitted`](Self::commit_admitted) only
+    /// if the engine accepts the batch).
     pub(crate) fn collect_ready(&self, now: f64, limit: usize, out: &mut Vec<QKey>) {
         out.clear();
         if limit == 0 {
             return;
         }
-        let mut ri = 0usize;
+        let mut li = [0usize; 3];
         let mut di = 0usize;
         loop {
-            // Next candidate on each side, skipping unready deferred.
-            let rk = self.ready.get(ri).copied().filter(|&k| {
-                self.arena.get(k).is_some_and(|s| s.ready_s <= now)
-                // Monotone ready_s: once unready, the whole tail is.
-            });
+            // Oldest admissible lane entry; a lane's first unready entry
+            // ends that lane (monotone `ready_s`).
+            let mut lane_pick: Option<(u64, usize, QKey)> = None;
+            for (c, lane) in self.lanes.iter().enumerate() {
+                let Some(&k) = lane.get(li[c]) else { continue };
+                let Some(s) = self.arena.get(k) else { continue };
+                if s.ready_s <= now && lane_pick.is_none_or(|(seq, _, _)| s.seq < seq) {
+                    lane_pick = Some((s.seq, c, k));
+                }
+            }
+            // Next deferred candidate, skipping unready ones.
             while di < self.deferred.len()
                 && self
                     .arena
@@ -726,59 +674,99 @@ impl PendingQueue {
             {
                 di += 1;
             }
-            let dk = self.deferred.get(di).copied();
-            let take = match (rk, dk) {
-                (Some(r), Some(d)) => {
-                    let rs = self.arena.get(r).map_or(u64::MAX, |s| s.seq);
-                    let ds = self.arena.get(d).map_or(u64::MAX, |s| s.seq);
-                    if rs < ds {
-                        ri += 1;
-                        Some(r)
-                    } else {
-                        di += 1;
-                        Some(d)
-                    }
+            let def_pick = self.deferred.get(di).map(|&k| (self.seq_of(k), k));
+            let k = match (lane_pick, def_pick) {
+                (Some((r, c, k)), Some((d, _))) if r < d => {
+                    li[c] += 1;
+                    k
                 }
-                (Some(r), None) => {
-                    ri += 1;
-                    Some(r)
+                (Some((_, c, k)), None) => {
+                    li[c] += 1;
+                    k
                 }
-                (None, Some(d)) => {
+                (_, Some((_, k))) => {
                     di += 1;
-                    Some(d)
+                    k
                 }
-                (None, None) => None,
+                (None, None) => return,
             };
-            match take {
-                Some(k) => {
-                    out.push(k);
-                    if out.len() == limit {
-                        return;
+            out.push(k);
+            if out.len() == limit {
+                return;
+            }
+        }
+    }
+
+    /// Walks one class's admissible queries (`ready_s <= now`) in seq
+    /// order — its lane merged with its deferred retries — handing each
+    /// to `visit` until it answers [`Visit::Stop`] or the class runs out;
+    /// returns the shed count. A shed query is removed where it stands;
+    /// priority admission sheds only before it takes anything, so its
+    /// sheds pop lane heads.
+    pub(crate) fn walk_class(
+        &mut self,
+        class: Priority,
+        now: f64,
+        mut visit: impl FnMut(QKey, &QuerySlot) -> Visit,
+    ) -> usize {
+        let c = class.index();
+        let mut li = 0usize;
+        let mut di = 0usize;
+        let mut shed = 0usize;
+        loop {
+            let lane_k = self.lanes[c]
+                .get(li)
+                .copied()
+                .filter(|&k| self.arena.get(k).is_some_and(|s| s.ready_s <= now));
+            while di < self.deferred.len()
+                && !self
+                    .arena
+                    .get(self.deferred[di])
+                    .is_some_and(|s| s.class == class && s.ready_s <= now)
+            {
+                di += 1;
+            }
+            let def_k = self.deferred.get(di).copied();
+            let (k, from_lane) = match (lane_k, def_k) {
+                (Some(r), Some(d)) => {
+                    if self.seq_of(r) < self.seq_of(d) {
+                        (r, true)
+                    } else {
+                        (d, false)
                     }
                 }
-                None => return,
+                (Some(r), None) => (r, true),
+                (None, Some(d)) => (d, false),
+                (None, None) => return shed,
+            };
+            let Some(slot) = self.arena.get(k) else {
+                return shed;
+            };
+            match visit(k, slot) {
+                Visit::Shed => {
+                    if from_lane {
+                        self.lanes[c].remove(li);
+                    } else {
+                        self.deferred.remove(di);
+                    }
+                    self.note_shed(k);
+                    shed += 1;
+                }
+                Visit::Take if from_lane => li += 1,
+                Visit::Take => di += 1,
+                Visit::Stop => return shed,
             }
         }
     }
 
     /// Removes an accepted admission group from the queues and marks its
     /// members in flight. Members must have come from
-    /// [`collect_ready`](Self::collect_ready) at the same instant.
+    /// [`collect_ready`](Self::collect_ready) or a class walk at the same
+    /// instant.
     pub(crate) fn commit_admitted(&mut self, group: &[QKey]) {
         for &k in group {
-            let phase = self.arena.get(k).map(|s| s.phase);
-            match phase {
-                Some(QueryPhase::Ready) => {
-                    // Group members are the lowest-seq ready entries, so
-                    // they sit at the front; fall back to a scan if not.
-                    if self.ready.front() == Some(&k) {
-                        self.ready.pop_front();
-                    } else if let Some(pos) = self.ready.iter().position(|&r| r == k) {
-                        self.ready.remove(pos);
-                    }
-                }
-                Some(QueryPhase::Deferred) => self.remove_deferred(k),
-                _ => continue,
+            if !self.unqueue(k) {
+                continue;
             }
             if let Some(s) = self.arena.get_mut(k) {
                 s.phase = QueryPhase::InFlight;
@@ -793,10 +781,8 @@ impl PendingQueue {
     }
 
     fn insert_deferred(&mut self, k: QKey) {
-        let seq = self.arena.get(k).map_or(u64::MAX, |s| s.seq);
-        let pos = self
-            .deferred
-            .partition_point(|&d| self.arena.get(d).map_or(u64::MAX, |s| s.seq) < seq);
+        let seq = self.seq_of(k);
+        let pos = self.deferred.partition_point(|&d| self.seq_of(d) < seq);
         self.deferred.insert(pos, k);
     }
 
@@ -821,18 +807,9 @@ impl PendingQueue {
             };
             s.attempts += 1;
             let attempts = s.attempts;
-            let phase = s.phase;
-            match phase {
-                QueryPhase::Ready => {
-                    if self.ready.front() == Some(&k) {
-                        self.ready.pop_front();
-                    } else if let Some(pos) = self.ready.iter().position(|&r| r == k) {
-                        self.ready.remove(pos);
-                    }
-                }
-                QueryPhase::Deferred => self.remove_deferred(k),
-                QueryPhase::InFlight => {}
-            }
+            // Still-queued members leave their lane or the deferred set;
+            // in-flight ones are in neither.
+            self.unqueue(k);
             if attempts <= max_retries {
                 acc.retries += 1;
                 let exp = (attempts - 1).min(16);
@@ -878,72 +855,6 @@ mod tests {
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, ["a1", "a2", "b", "c"]);
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn bucket_queue_pops_in_time_then_fifo_order() {
-        let mut q = BucketQueue::new();
-        q.push(2.0, "b");
-        q.push(1.0, "a1");
-        q.push(1.0, "a2");
-        q.push(3.0, "c");
-        assert_eq!(q.peek(), Some((1.0, &"a1")));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, ["a1", "a2", "b", "c"]);
-    }
-
-    /// 500-seed property: the bucketed queue's pop sequence is bit-identical
-    /// to the `BinaryHeap`-backed [`EventQueue`] under interleaved pushes and
-    /// pops with duplicate times (FIFO tie-break preserved).
-    #[test]
-    fn bucket_queue_matches_binary_heap_over_500_seeds() {
-        for seed in 0u64..500 {
-            // SplitMix64: cheap deterministic per-seed stream.
-            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-            let mut next = move || {
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
-            };
-            let mut heap = EventQueue::new();
-            let mut bucket = BucketQueue::new();
-            let mut popped = Vec::new();
-            for op in 0..200 {
-                if op % 3 == 2 {
-                    let a = heap.pop();
-                    let b = bucket.pop();
-                    match (a, b) {
-                        (Some((ta, pa)), Some((tb, pb))) => {
-                            assert_eq!(ta.to_bits(), tb.to_bits(), "seed {seed} op {op}");
-                            assert_eq!(pa, pb, "seed {seed} op {op}");
-                            popped.push((ta, pa));
-                        }
-                        (None, None) => {}
-                        (a, b) => panic!("seed {seed} op {op}: {a:?} vs {b:?}"),
-                    }
-                } else {
-                    // Coarse times force plenty of exact ties; the payload
-                    // is the push index so order mismatches are visible.
-                    let t = (next() % 32) as f64 * 0.25;
-                    heap.push(t, op);
-                    bucket.push(t, op);
-                }
-            }
-            let mut last = f64::NEG_INFINITY;
-            while let (Some((ta, pa)), Some((tb, pb))) = (heap.pop(), bucket.pop()) {
-                assert_eq!(ta.to_bits(), tb.to_bits(), "seed {seed}");
-                assert_eq!(pa, pb, "seed {seed}");
-                assert!(ta >= last, "seed {seed}: time order");
-                last = ta;
-                popped.push((ta, pa));
-            }
-            assert!(
-                heap.pop().is_none() && bucket.pop().is_none(),
-                "seed {seed}"
-            );
-        }
     }
 
     #[test]
@@ -1093,6 +1004,60 @@ mod tests {
             crate::alloc_counter::thread_allocs() - before,
             0,
             "a warm dispatch cycle must not allocate"
+        );
+    }
+
+    /// The allocation budget for the priority path: a tagged backlog held
+    /// above 512 keys — past the 4 KiB of stack scratch std's stable sort
+    /// gets for `QKey`s — through deadline sheds, per-class aging, the
+    /// KV guard and slack-guarded class walks, requeues and releases.
+    /// Once warm, a cycle allocates nothing.
+    #[test]
+    fn warm_priority_cycle_allocates_nothing() {
+        use crate::serving::{AdmissionConfig, AdmissionState};
+        let adm = AdmissionConfig::priority(PriorityMix::EDGE_MIX, 11)
+            .with_age_target(Priority::Background, 0.3);
+        let mut st = AdmissionState::new(adm);
+        // Batches take 0.1 s against a 1 s deadline: anything older than
+        // 0.9 s is hopeless.
+        st.observe_service(0.1);
+        let mut q = PendingQueue::new(ArrivalProcess::Poisson, 1500.0, 100_000, 7);
+        q.set_tagger(adm.mix, adm.class_seed);
+        let mut acc = ServingAccumulator::default();
+        let mut group = Vec::new();
+        // 15 arrivals per 10 ms cycle against 4 admissions: interactive
+        // keeps up, batch piles up to the slack cut, background to its age
+        // target.
+        let mut cycle = |q: &mut PendingQueue, st: &mut AdmissionState, i: usize| {
+            let now = i as f64 * 0.01;
+            let _ = q.min_ready();
+            q.pump(now);
+            let _ = q.shed_expired(now, 1.0);
+            let _ = q.shed_aged(now, &adm.age_target_s);
+            let _ = st.select(q, now, 4, 4 * 256, 256, Some(1.0), &mut group);
+            if i.is_multiple_of(5) {
+                q.requeue_failed(&group, now, 3, 0.05, &mut acc);
+            } else {
+                q.commit_admitted(&group);
+                for &k in &group {
+                    q.release(k);
+                }
+            }
+            q.backlog()
+        };
+        for i in 0..1000 {
+            cycle(&mut q, &mut st, i);
+        }
+        let before = crate::alloc_counter::thread_allocs();
+        let mut min_backlog = usize::MAX;
+        for i in 1000..1400 {
+            min_backlog = min_backlog.min(cycle(&mut q, &mut st, i));
+        }
+        let allocs = crate::alloc_counter::thread_allocs() - before;
+        assert!(min_backlog > 512, "backlog fell to {min_backlog}");
+        assert_eq!(
+            allocs, 0,
+            "a warm priority dispatch cycle must not allocate"
         );
     }
 

@@ -46,7 +46,7 @@ use edgereasoning_soc::stats;
 use serde::{Deserialize, Serialize};
 
 use crate::arrivals::ArrivalProcess;
-use crate::des::{PendingQueue, QKey};
+use crate::des::{PendingQueue, QKey, Visit};
 use crate::engine::InferenceEngine;
 use crate::request::GenerationRequest;
 use crate::stepper::{BatchStepper, SlotId};
@@ -755,7 +755,6 @@ pub(crate) struct AdmissionState {
     last_s: f64,
     /// EWMA of observed batch service times, for the slack guard.
     svc_est: Ewma,
-    scratch: Vec<QKey>,
     pub(crate) classes: ClassAccum,
 }
 
@@ -766,7 +765,6 @@ impl AdmissionState {
             tokens: cfg.burst,
             last_s: 0.0,
             svc_est: Ewma::new(0.2),
-            scratch: Vec::new(),
             classes: ClassAccum::default(),
         }
     }
@@ -809,6 +807,12 @@ impl AdmissionState {
     /// slack left are shed on the spot (returned as the shed count) —
     /// admitting them would burn GPU time on work that cannot finish on
     /// time.
+    ///
+    /// Each class is one walk over its lane. Within a class the hopeless
+    /// queries (`now + est > arrival + deadline`) are a prefix, and the
+    /// bucket, the KV claim and the batch only fill, so the first query a
+    /// walk can neither shed nor admit ends that class: nothing after it
+    /// could be shed or admitted either.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn select(
         &mut self,
@@ -822,14 +826,59 @@ impl AdmissionState {
     ) -> usize {
         out.clear();
         self.refill(now);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        pq.collect_ready(now, usize::MAX, &mut scratch);
-        // Stable sort on class rank: within a class, the seq (arrival)
-        // order collect_ready produced is preserved.
-        scratch.sort_by_key(|&k| pq.class_of(k).index());
+        let slack = match (self.cfg.slack_guard, deadline_s, self.svc_est.get()) {
+            (true, Some(d), Some(est)) => Some((d, est)),
+            _ => None,
+        };
+        let kv_guard = self.cfg.kv_guard;
         let mut shed = 0usize;
         let mut claimed = 0u64;
-        for &k in &scratch {
+        for class in Priority::ALL {
+            let tokens = &mut self.tokens[class.index()];
+            shed += pq.walk_class(class, now, |k, s| {
+                if let Some((d, est)) = slack {
+                    if now + est > s.arrival_s + d {
+                        return Visit::Shed;
+                    }
+                }
+                if out.len() == room
+                    || *tokens < 1.0
+                    || (kv_guard && claimed + per_query_kv > free_kv_tokens)
+                {
+                    return Visit::Stop;
+                }
+                *tokens -= 1.0;
+                claimed += per_query_kv;
+                out.push(k);
+                Visit::Take
+            });
+        }
+        shed
+    }
+
+    /// The collect → stable-sort → scan admission that the class walks
+    /// replaced: every ready query sorted by class rank, then visited in
+    /// full. The differential oracle for [`select`](Self::select).
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn select_reference(
+        &mut self,
+        pq: &mut PendingQueue,
+        now: f64,
+        room: usize,
+        free_kv_tokens: u64,
+        per_query_kv: u64,
+        deadline_s: Option<f64>,
+        out: &mut Vec<QKey>,
+    ) -> usize {
+        out.clear();
+        self.refill(now);
+        let mut ready = Vec::new();
+        pq.collect_ready(now, usize::MAX, &mut ready);
+        ready.sort_by_key(|&k| pq.class_of(k).index());
+        let mut shed = 0usize;
+        let mut claimed = 0u64;
+        for &k in &ready {
             if self.cfg.slack_guard {
                 if let (Some(d), Some(est)) = (deadline_s, self.svc_est.get()) {
                     if now + est > pq.arrival_s(k) + d {
@@ -856,8 +905,6 @@ impl AdmissionState {
             claimed += per_query_kv;
             out.push(k);
         }
-        scratch.clear();
-        self.scratch = scratch;
         shed
     }
 }
@@ -2281,5 +2328,181 @@ mod tests {
         let err = simulate_serving(&mut e, ModelId::Dsr1Qwen1_5b, Precision::Fp16, &bad, 1)
             .expect_err("static scheduler cannot honor admission control");
         assert!(matches!(err, EngineError::InvalidRequest(_)), "{err:?}");
+    }
+
+    /// 500-seed differential: the class-walk [`AdmissionState::select`]
+    /// and lane-prefix `shed_aged` against the collect → stable-sort →
+    /// scan and full-scan versions they replaced. Two clones of one tagged
+    /// queue run the same random dispatch sequence — deadline and capacity
+    /// sheds, per-class aging, the slack guard over a seeded service
+    /// estimate, zero-rate, finite and unmetered buckets, the KV guard,
+    /// commits, completions, backward clock steps and requeues into the
+    /// deferred set — and must agree on every admitted group (in order and
+    /// key for key, so arena slots are released and recycled identically),
+    /// every shed count, the class ledger and the remaining backlog.
+    #[test]
+    fn class_walk_admission_matches_the_sorting_reference_over_500_seeds() {
+        use std::collections::HashSet;
+        // Coverage, summed over seeds: slack sheds, aging sheds, retried
+        // queries admitted again, and backward clock steps.
+        let mut seen = [0usize; 4];
+        for seed in 0u64..500 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let qps = rng.range_f64(5.0, 200.0);
+            let mix = if rng.chance(0.5) {
+                PriorityMix::EDGE_MIX
+            } else {
+                let interactive = rng.range_f64(0.0, 0.6);
+                PriorityMix {
+                    interactive,
+                    batch: rng.range_f64(0.0, 1.0 - interactive),
+                }
+            };
+            let mut adm = AdmissionConfig::priority(mix, seed ^ 0x5eed);
+            adm.kv_guard = rng.chance(0.7);
+            adm.slack_guard = rng.chance(0.8);
+            for class in Priority::ALL {
+                adm = match rng.range_usize(3) {
+                    0 => adm.with_rate(class, 0.0, rng.range_f64(1.0, 4.0)),
+                    1 => adm.with_rate(class, rng.range_f64(1.0, qps), rng.range_f64(1.0, 8.0)),
+                    _ => adm,
+                };
+                if rng.chance(0.5) {
+                    adm = adm.with_age_target(class, rng.range_f64(0.05, 3.0));
+                }
+            }
+            let deadline = rng.chance(0.7).then(|| rng.range_f64(0.2, 4.0));
+            let capacity = if rng.chance(0.4) {
+                1 + rng.range_usize(64)
+            } else {
+                0
+            };
+            let queries = 400 + rng.range_usize(1200);
+            let mut pq = PendingQueue::new(ArrivalProcess::Poisson, qps, queries, seed);
+            pq.set_tagger(mix, adm.class_seed);
+            let mut ref_pq = pq.clone();
+            let mut st = AdmissionState::new(adm);
+            let mut ref_st = AdmissionState::new(adm);
+            let mut acc = ServingAccumulator::default();
+            let mut ref_acc = ServingAccumulator::default();
+            let (mut group, mut ref_group) = (Vec::new(), Vec::new());
+            let mut in_flight: Vec<QKey> = Vec::new();
+            let mut retried: HashSet<QKey> = HashSet::new();
+            let mut now = 0.0f64;
+            for step in 0..300 {
+                let at = format!("seed {seed} step {step}");
+                let t = pq.min_ready();
+                assert_eq!(t.to_bits(), ref_pq.min_ready().to_bits(), "{at}");
+                if rng.chance(0.1) && step > 0 {
+                    // A drained stepper snapping back to a completion
+                    // instant: the newest arrivals become unready again.
+                    now -= rng.range_f64(0.0, 2.0 / qps);
+                    seen[3] += 1;
+                } else if t.is_finite() {
+                    now = now.max(t) + rng.range_f64(0.0, 4.0 / qps);
+                } else if in_flight.is_empty() {
+                    break;
+                }
+                pq.pump(now);
+                ref_pq.pump(now);
+                if let Some(d) = deadline {
+                    assert_eq!(pq.shed_expired(now, d), ref_pq.shed_expired(now, d), "{at}");
+                }
+                if capacity > 0 {
+                    assert_eq!(
+                        pq.shed_over_capacity(now, capacity),
+                        ref_pq.shed_over_capacity(now, capacity),
+                        "{at}"
+                    );
+                }
+                let aged = pq.shed_aged(now, &adm.age_target_s);
+                assert_eq!(
+                    aged,
+                    ref_pq.shed_aged_reference(now, &adm.age_target_s),
+                    "{at}"
+                );
+                seen[1] += aged;
+                let room = rng.range_usize(9);
+                let per_query_kv = 256;
+                let free_kv = rng.range_usize(3000) as u64;
+                let shed = st.select(
+                    &mut pq,
+                    now,
+                    room,
+                    free_kv,
+                    per_query_kv,
+                    deadline,
+                    &mut group,
+                );
+                let ref_shed = ref_st.select_reference(
+                    &mut ref_pq,
+                    now,
+                    room,
+                    free_kv,
+                    per_query_kv,
+                    deadline,
+                    &mut ref_group,
+                );
+                assert_eq!(shed, ref_shed, "{at}");
+                assert_eq!(group, ref_group, "{at}");
+                assert_eq!(
+                    st.tokens.map(f64::to_bits),
+                    ref_st.tokens.map(f64::to_bits),
+                    "{at}"
+                );
+                seen[0] += shed;
+                seen[2] += group.iter().filter(|k| retried.contains(k)).count();
+                if !group.is_empty() {
+                    if rng.chance(0.25) {
+                        // Failed admission: members retry through the
+                        // deferred set (or drop once out of retries).
+                        pq.requeue_failed(&group, now, 2, 0.05, &mut acc);
+                        ref_pq.requeue_failed(&group, now, 2, 0.05, &mut ref_acc);
+                        retried.extend(&group);
+                    } else {
+                        pq.commit_admitted(&group);
+                        ref_pq.commit_admitted(&group);
+                        in_flight.extend_from_slice(&group);
+                    }
+                } else if rng.chance(0.1) {
+                    // The idle liveness rule: force-shed the oldest query.
+                    pq.collect_ready(now, 1, &mut group);
+                    for &k in &group {
+                        assert_eq!(pq.shed_key(k), ref_pq.shed_key(k), "{at}");
+                    }
+                }
+                if !in_flight.is_empty() && rng.chance(0.5) {
+                    let n = 1 + rng.range_usize(in_flight.len());
+                    let done: Vec<QKey> = in_flight.drain(..n).collect();
+                    if rng.chance(0.3) {
+                        // Engine failure after commit.
+                        pq.requeue_failed(&done, now, 2, 0.05, &mut acc);
+                        ref_pq.requeue_failed(&done, now, 2, 0.05, &mut ref_acc);
+                        retried.extend(&done);
+                    } else {
+                        let service = rng.range_f64(0.05, 2.0);
+                        st.observe_service(service);
+                        ref_st.observe_service(service);
+                        for &k in &done {
+                            pq.release(k);
+                            ref_pq.release(k);
+                        }
+                    }
+                }
+            }
+            let (a, b) = (pq.class_counts(), ref_pq.class_counts());
+            assert_eq!(
+                (a.offered, a.shed, a.failed),
+                (b.offered, b.shed, b.failed),
+                "seed {seed}"
+            );
+            assert_eq!(pq.backlog_keys(), ref_pq.backlog_keys(), "seed {seed}");
+            assert_eq!(
+                (acc.retries, acc.failed),
+                (ref_acc.retries, ref_acc.failed),
+                "seed {seed}"
+            );
+        }
+        assert!(seen.iter().all(|&n| n > 0), "coverage: {seen:?}");
     }
 }

@@ -24,75 +24,22 @@ cargo test --release -q
 echo "==> cargo test -q --workspace"
 cargo test --release -q --workspace
 
-echo "==> resilience_study --smoke (deterministic fault-injection CSV)"
-cargo run --release -q -p edgereasoning-bench --bin resilience_study -- --smoke
-SMOKE_CSV=outputs/resilience_study_smoke.csv
-[ -s "$SMOKE_CSV" ] || { echo "FAIL: $SMOKE_CSV empty or missing"; exit 1; }
-[ "$(wc -l < "$SMOKE_CSV")" -gt 1 ] || { echo "FAIL: $SMOKE_CSV has no data rows"; exit 1; }
-cp "$SMOKE_CSV" "$SMOKE_CSV.first"
-cargo run --release -q -p edgereasoning-bench --bin resilience_study -- --smoke
-cmp "$SMOKE_CSV" "$SMOKE_CSV.first" || { echo "FAIL: resilience smoke not deterministic"; exit 1; }
-rm -f "$SMOKE_CSV.first"
-
-echo "==> serving_study --smoke (deterministic continuous-batching CSV)"
-cargo run --release -q -p edgereasoning-bench --bin serving_study -- --smoke
-SERVING_CSV=outputs/serving_study_smoke.csv
-[ -s "$SERVING_CSV" ] || { echo "FAIL: $SERVING_CSV empty or missing"; exit 1; }
-[ "$(wc -l < "$SERVING_CSV")" -gt 1 ] || { echo "FAIL: $SERVING_CSV has no data rows"; exit 1; }
-cp "$SERVING_CSV" "$SERVING_CSV.first"
-cargo run --release -q -p edgereasoning-bench --bin serving_study -- --smoke
-cmp "$SERVING_CSV" "$SERVING_CSV.first" || { echo "FAIL: serving smoke not deterministic"; exit 1; }
-rm -f "$SERVING_CSV.first"
-
-echo "==> fleet_study --smoke (deterministic fleet/failover CSV)"
-cargo run --release -q -p edgereasoning-bench --bin fleet_study -- --smoke
-FLEET_CSV=outputs/fleet_study_smoke.csv
-[ -s "$FLEET_CSV" ] || { echo "FAIL: $FLEET_CSV empty or missing"; exit 1; }
-[ "$(wc -l < "$FLEET_CSV")" -gt 1 ] || { echo "FAIL: $FLEET_CSV has no data rows"; exit 1; }
-cp "$FLEET_CSV" "$FLEET_CSV.first"
-cargo run --release -q -p edgereasoning-bench --bin fleet_study -- --smoke
-cmp "$FLEET_CSV" "$FLEET_CSV.first" || { echo "FAIL: fleet smoke not deterministic"; exit 1; }
-rm -f "$FLEET_CSV.first"
-
-echo "==> traffic_study --smoke (deterministic arrival-process CSV)"
-cargo run --release -q -p edgereasoning-bench --bin traffic_study -- --smoke
-TRAFFIC_CSV=outputs/traffic_study_smoke.csv
-[ -s "$TRAFFIC_CSV" ] || { echo "FAIL: $TRAFFIC_CSV empty or missing"; exit 1; }
-[ "$(wc -l < "$TRAFFIC_CSV")" -gt 1 ] || { echo "FAIL: $TRAFFIC_CSV has no data rows"; exit 1; }
-cp "$TRAFFIC_CSV" "$TRAFFIC_CSV.first"
-cargo run --release -q -p edgereasoning-bench --bin traffic_study -- --smoke
-cmp "$TRAFFIC_CSV" "$TRAFFIC_CSV.first" || { echo "FAIL: traffic smoke not deterministic"; exit 1; }
-rm -f "$TRAFFIC_CSV.first"
-
-echo "==> session_study --smoke (deterministic prefix-cache/session CSV)"
-cargo run --release -q -p edgereasoning-bench --bin session_study -- --smoke
-SESSION_CSV=outputs/session_study_smoke.csv
-[ -s "$SESSION_CSV" ] || { echo "FAIL: $SESSION_CSV empty or missing"; exit 1; }
-[ "$(wc -l < "$SESSION_CSV")" -gt 1 ] || { echo "FAIL: $SESSION_CSV has no data rows"; exit 1; }
-cp "$SESSION_CSV" "$SESSION_CSV.first"
-cargo run --release -q -p edgereasoning-bench --bin session_study -- --smoke
-cmp "$SESSION_CSV" "$SESSION_CSV.first" || { echo "FAIL: session smoke not deterministic"; exit 1; }
-rm -f "$SESSION_CSV.first"
-
-echo "==> thermal_study --smoke (deterministic thermal/battery-governance CSV)"
-cargo run --release -q -p edgereasoning-bench --bin thermal_study -- --smoke
-THERMAL_CSV=outputs/thermal_study_smoke.csv
-[ -s "$THERMAL_CSV" ] || { echo "FAIL: $THERMAL_CSV empty or missing"; exit 1; }
-[ "$(wc -l < "$THERMAL_CSV")" -gt 1 ] || { echo "FAIL: $THERMAL_CSV has no data rows"; exit 1; }
-cp "$THERMAL_CSV" "$THERMAL_CSV.first"
-cargo run --release -q -p edgereasoning-bench --bin thermal_study -- --smoke
-cmp "$THERMAL_CSV" "$THERMAL_CSV.first" || { echo "FAIL: thermal smoke not deterministic"; exit 1; }
-rm -f "$THERMAL_CSV.first"
-
-echo "==> overload_study --smoke (deterministic overload/admission CSV + auditor)"
-cargo run --release -q -p edgereasoning-bench --bin overload_study -- --smoke
-OVERLOAD_CSV=outputs/overload_study_smoke.csv
-[ -s "$OVERLOAD_CSV" ] || { echo "FAIL: $OVERLOAD_CSV empty or missing"; exit 1; }
-[ "$(wc -l < "$OVERLOAD_CSV")" -gt 1 ] || { echo "FAIL: $OVERLOAD_CSV has no data rows"; exit 1; }
-cp "$OVERLOAD_CSV" "$OVERLOAD_CSV.first"
-cargo run --release -q -p edgereasoning-bench --bin overload_study -- --smoke
-cmp "$OVERLOAD_CSV" "$OVERLOAD_CSV.first" || { echo "FAIL: overload smoke not deterministic"; exit 1; }
-rm -f "$OVERLOAD_CSV.first"
+# Every study smoke runs twice: the CSV must be non-empty, byte-identical
+# across the two runs (determinism) and byte-identical to the committed
+# outputs/<study>_smoke.csv (no silent decision drift).
+for study in resilience serving fleet traffic session thermal overload; do
+    bin="${study}_study"
+    csv="outputs/${bin}_smoke.csv"
+    echo "==> $bin --smoke (deterministic, matches the committed CSV)"
+    cargo run --release -q -p edgereasoning-bench --bin "$bin" -- --smoke
+    [ -s "$csv" ] || { echo "FAIL: $csv empty or missing"; exit 1; }
+    [ "$(wc -l < "$csv")" -gt 1 ] || { echo "FAIL: $csv has no data rows"; exit 1; }
+    cp "$csv" "$csv.first"
+    cargo run --release -q -p edgereasoning-bench --bin "$bin" -- --smoke
+    cmp "$csv" "$csv.first" || { echo "FAIL: $bin smoke not deterministic"; exit 1; }
+    rm -f "$csv.first"
+    git diff --exit-code HEAD -- "$csv" || { echo "FAIL: $csv differs from the committed file"; exit 1; }
+done
 
 echo "==> conservation auditor re-check over study-smoke configurations"
 cargo test --release -q --test properties auditor_passes_on_study_smoke_configs
