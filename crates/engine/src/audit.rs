@@ -223,7 +223,6 @@ pub fn audit_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::ArrivalProcess;
     use crate::cluster::simulate_cluster;
     use crate::engine::EngineConfig;
     use crate::serving::{simulate_serving_continuous, AdmissionConfig, PriorityMix};
@@ -252,15 +251,15 @@ mod tests {
             .with_deadline(30.0)
             .with_queue_capacity(64)
             .with_admission(AdmissionConfig::priority(PriorityMix::EDGE_MIX, 3));
-        let (report, classes) = crate::serving::simulate_serving_overload(
-            &mut crate::engine::InferenceEngine::new(EngineConfig::vllm(), 11),
+        let r = simulate_cluster(
+            &ClusterConfig::new(1, EngineConfig::vllm()),
             ModelId::Dsr1Qwen1_5b,
             Precision::Fp16,
             &cfg,
-            ArrivalProcess::PoissonLegacy,
             11,
         )
         .expect("runs");
+        let (report, classes) = (r.fleet, r.classes.expect("admission reports classes"));
         assert_eq!(audit_serving(&cfg, &report), Vec::<String>::new());
         assert_eq!(audit_classes(&cfg, &report, &classes), Vec::<String>::new());
     }

@@ -4,7 +4,7 @@
 //! a *fleet* of them, and edge fleets are unreliable — devices overheat,
 //! brown out, and reboot. This module simulates N replicas (each its own
 //! [`InferenceEngine`] + [`FaultSchedule`] + continuous [`BatchStepper`]
-//! loop) serving one shared Poisson arrival stream behind a router that
+//! loop) serving one shared arrival stream behind a router that
 //! implements the three classic fleet-robustness mechanisms:
 //!
 //! * **health-checked routing** — replicas are [`ReplicaHealth::Up`],
@@ -24,6 +24,14 @@
 //!   complete wins and the loser is cancelled with its accrued energy
 //!   still booked (a hedge's cost is real even when it loses).
 //!
+//! # One scheduler
+//!
+//! [`simulate_cluster`] builds each replica's engine and weather;
+//! `run_fleet`, the event loop over replicas that borrow their engines, is
+//! the only continuous scheduler. [`simulate_serving_continuous`] runs it
+//! over one calm replica on the caller's engine, so a single device and
+//! `ClusterConfig::new(1, ..)` serve the same schedule by construction.
+//!
 //! # Determinism
 //!
 //! The simulation is a single-threaded discrete-event loop: at every
@@ -32,9 +40,11 @@
 //! then free KV tokens, then index). Each replica draws from its own RNG
 //! lanes — engine noise, disturbance weather and crash weather are all
 //! seeded per replica via `item_seed` — so reports are bit-identical
-//! across runs and across `par_map_deterministic` thread counts. With one
-//! replica, no crash windows and hedging off, the loop collapses to
-//! exactly [`simulate_serving_continuous`]'s schedule, bit for bit.
+//! across runs and across `par_map_deterministic` thread counts.
+//!
+//! [`simulate_serving_continuous`]: crate::serving::simulate_serving_continuous
+
+use std::cmp::{Ordering, Reverse};
 
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
@@ -502,9 +512,11 @@ pub struct ClusterReport {
     pub classes: Option<ClassBreakdown>,
 }
 
-/// One replica's simulation state.
-struct Replica {
-    engine: InferenceEngine,
+/// One replica's simulation state. The replica borrows its engine, so the
+/// single-device entry points run the caller's engine as a one-replica
+/// fleet and the caller reads its counters afterwards.
+pub(crate) struct Replica<'e> {
+    engine: &'e mut InferenceEngine,
     stepper: BatchStepper,
     /// Unconsumed crash outage windows `(start_s, end_s)`, in start order.
     crashes: Vec<(f64, f64)>,
@@ -528,7 +540,32 @@ struct Replica {
     breaker: Option<Breaker>,
 }
 
-impl Replica {
+impl<'e> Replica<'e> {
+    /// A calm replica (no crash, partition or breaker weather) serving
+    /// `model` at `prec` on `engine`; errors as [`BatchStepper::new`].
+    pub(crate) fn new(
+        engine: &'e mut InferenceEngine,
+        model: ModelId,
+        prec: Precision,
+    ) -> Result<Self, EngineError> {
+        let stepper = BatchStepper::new(engine, model, prec)?;
+        Ok(Self {
+            engine,
+            stepper,
+            crashes: Vec::new(),
+            next_crash: 0,
+            outages: Vec::new(),
+            clock: 0.0,
+            served: 0.0,
+            drain_now: 0.0,
+            level: 0,
+            throttle_streak: 0,
+            partitions: Vec::new(),
+            next_partition: 0,
+            breaker: None,
+        })
+    }
+
     fn health_at(&self, t: f64) -> ReplicaHealth {
         if self
             .crashes
@@ -594,7 +631,8 @@ fn merge_windows(mut windows: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
 /// (extra replicas and the fault/crash weather derive per-replica lanes
 /// from it), so with `ClusterConfig::new(1, engine_cfg)` the fleet report
 /// is bit-identical to [`simulate_serving_continuous`] on an engine seeded
-/// with the same `seed`.
+/// with the same `seed` — both run the same event loop over one calm
+/// replica.
 ///
 /// # Errors
 ///
@@ -604,7 +642,6 @@ fn merge_windows(mut windows: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
 /// abort: they feed the retry/failover machinery.
 ///
 /// [`simulate_serving_continuous`]: crate::serving::simulate_serving_continuous
-#[allow(clippy::too_many_lines)]
 pub fn simulate_cluster(
     cluster: &ClusterConfig,
     model: ModelId,
@@ -626,8 +663,7 @@ pub fn simulate_cluster(
         .enumerate()
         .map(|(i, d)| d.generate(seed, i, cluster.horizon_s))
         .collect();
-    let mut reps: Vec<Replica> = Vec::with_capacity(n);
-    let mut rep_accs: Vec<ServingAccumulator> = Vec::with_capacity(n);
+    let mut engines: Vec<InferenceEngine> = Vec::with_capacity(n);
     for r in 0..n {
         let engine_seed = if r == 0 {
             seed
@@ -648,6 +684,10 @@ pub fn simulate_cluster(
             }
         }
         engine.set_fault_schedule(faults);
+        engines.push(engine);
+    }
+    let mut reps: Vec<Replica<'_>> = Vec::with_capacity(n);
+    for (r, engine) in engines.iter_mut().enumerate() {
         let mut crashes = if cluster.crash.enabled() {
             FaultSchedule::generate_crashes(
                 item_seed(seed ^ CRASH_LANE, r as u64),
@@ -673,33 +713,42 @@ pub fn simulate_cluster(
         if !partitions.is_empty() {
             partitions = merge_windows(partitions);
         }
-        let stepper = BatchStepper::new(&engine, model, prec)?;
         reps.push(Replica {
-            engine,
-            stepper,
             crashes,
-            next_crash: 0,
-            outages: Vec::new(),
-            clock: 0.0,
-            served: 0.0,
-            drain_now: 0.0,
-            level: 0,
-            throttle_streak: 0,
             partitions,
-            next_partition: 0,
             breaker: cluster.breaker.map(Breaker::new),
+            ..Replica::new(engine, model, prec)?
         });
-        rep_accs.push(ServingAccumulator::default());
     }
-
-    // The shared arrival stream, drawn lazily (same bits as the legacy
-    // pre-expanded `poisson_arrivals` vector).
-    let mut pq = PendingQueue::new(
+    Ok(run_fleet(
+        cluster,
+        reps,
+        cfg,
         ArrivalProcess::PoissonLegacy,
-        cfg.arrival_qps,
-        cfg.queries,
         seed,
-    );
+    ))
+}
+
+/// The fleet event loop — the only continuous scheduler. `reps` serve the
+/// arrivals `process` draws from `seed` under the router policy in
+/// `cluster` (hedging, shared prefix, crash cold start); the caller has
+/// validated both configs and built each replica's weather.
+///
+/// At every iteration the replica with the earliest actionable instant
+/// executes one scheduling step: outage or partition handling, then the
+/// continuous-batching boundary (idle jump → pump → deadline shed →
+/// capacity shed → aging shed → admission → hedge → step).
+#[allow(clippy::too_many_lines)]
+pub(crate) fn run_fleet(
+    cluster: &ClusterConfig,
+    mut reps: Vec<Replica<'_>>,
+    cfg: &ServingConfig,
+    process: ArrivalProcess,
+    seed: u64,
+) -> ClusterReport {
+    let n = reps.len();
+    // The shared arrival stream, drawn lazily.
+    let mut pq = PendingQueue::new(process, cfg.arrival_qps, cfg.queries, seed);
     let mut live: Vec<ClusterSlot> = Vec::new();
     let mut group: Vec<QKey> = Vec::new();
     // Recycled member buffers and hedge-candidate scratch: the router's
@@ -712,6 +761,9 @@ pub fn simulate_cluster(
         pool.push(v);
     }
     let mut fleet = ServingAccumulator::default();
+    // Per-replica bookings. A lone replica's bookings are the fleet's, so
+    // it books once and its report is derived from the fleet's at the end.
+    let mut rep_accs = vec![ServingAccumulator::default(); if n > 1 { n } else { 0 }];
     let mut next_key = 0u64;
     // Fleet latency EWMA for hedge arming. `Ewma` seeds from the first
     // observation (bit-exact with the old inline update, minus its
@@ -727,33 +779,47 @@ pub fn simulate_cluster(
     let mut partition_events = 0usize;
     let mut partition_voided = 0usize;
     // Fleet-wide priority admission: one controller in front of the shared
-    // queue, exactly as in the single-device DES loop.
+    // queue.
     let mut adm = cfg.admission.as_ref().map(|a| {
         pq.set_tagger(a.mix, a.class_seed);
         AdmissionState::new(*a)
     });
+    let shared_prefix: &[u64] = cluster.shared_prefix.as_deref().unwrap_or(&[]);
+    // Routing tie-break at instant `t`, lowest first: the healthiest, then
+    // the warmest prefix cache (longest cached template prefix — zero for
+    // every replica when no shared prefix is configured), then the most
+    // free KV tokens.
+    let route_key = |rep: &Replica<'_>, t: f64| {
+        let cached = if shared_prefix.is_empty() {
+            0
+        } else {
+            rep.stepper
+                .cached_prefix_tokens(shared_prefix, cfg.prompt_tokens)
+        };
+        let free = rep.stepper.kv_free_tokens();
+        (rep.health_at(t).rank(), Reverse(cached), Reverse(free))
+    };
 
-    while !pq.is_exhausted() || reps.iter().any(|rep| rep.stepper.is_busy()) {
+    while reps.iter().any(|rep| rep.stepper.is_busy()) || !pq.is_exhausted() {
         // Earliest instant any pending (or still-undrawn) query becomes
-        // ready — O(log) against the queue instead of a scan of all n.
-        let min_ready = pq.min_ready();
+        // ready — O(log) against the queue, and asked only when an idle
+        // replica needs it (a busy one acts at its own clock).
+        let mut min_ready: Option<f64> = None;
 
         // Route: the replica that can act earliest wins; ties go to the
-        // healthiest, then the warmest prefix cache (longest cached
-        // template prefix — zero for every replica when no shared prefix
-        // is configured, leaving the legacy order intact), then the least
-        // loaded (most free KV tokens), then the lowest index. Busy
-        // replicas act at their own clock (their next decode boundary);
-        // idle ones at the next arrival.
-        let shared_prefix: &[u64] = cluster.shared_prefix.as_deref().unwrap_or(&[]);
-        let mut best: Option<(f64, u8, u64, u64, usize)> = None;
+        // lowest `route_key`, then the lowest index. Busy replicas act at
+        // their own clock (their next decode boundary); idle ones at the
+        // next arrival.
+        let mut best: Option<(f64, usize)> = None;
         for (r, rep) in reps.iter().enumerate() {
             let t_act = if rep.stepper.is_busy() {
                 rep.clock
-            } else if min_ready.is_finite() {
-                rep.clock.max(min_ready)
             } else {
-                continue;
+                let ready = *min_ready.get_or_insert_with(|| pq.min_ready());
+                if !ready.is_finite() {
+                    continue;
+                }
+                rep.clock.max(ready)
             };
             // A replica browned out with no recharge path has an infinite
             // recovery time: it never acts again. Skipping it here (rather
@@ -762,49 +828,48 @@ pub fn simulate_cluster(
             if !t_act.is_finite() {
                 continue;
             }
-            let health = rep.health_at(t_act).rank();
-            let cached = if shared_prefix.is_empty() {
-                0
-            } else {
-                rep.stepper
-                    .cached_prefix_tokens(shared_prefix, cfg.prompt_tokens) as u64
-            };
-            let free = rep.stepper.kv_free_tokens();
             let better = match best {
                 None => true,
-                Some((bt, bh, bc, bf, _)) => match t_act.total_cmp(&bt) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => {
-                        health < bh
-                            || (health == bh && (cached > bc || (cached == bc && free > bf)))
-                    }
+                Some((bt, b)) => match t_act.total_cmp(&bt) {
+                    Ordering::Less => true,
+                    Ordering::Greater => false,
+                    Ordering::Equal => route_key(rep, t_act) < route_key(&reps[b], bt),
                 },
             };
             if better {
-                best = Some((t_act, health, cached, free, r));
+                best = Some((t_act, r));
             }
         }
-        let Some((t_act, _, _, _, r)) = best else {
+        let Some((t_act, r)) = best else {
             break; // nothing can act: only unreachable future crash windows
         };
 
-        // A crash window the replica's action time has reached fires
-        // before any scheduling: the device dies, its KV cache is zeroed,
-        // every in-flight sequence is voided, and the clock jumps past
-        // repair + cold start.
-        if reps[r]
+        // An outage the replica's action time has reached fires before any
+        // scheduling: a crash window from the weather, or a battery
+        // brown-out detected by the replica's own governor (recovery comes
+        // from the recharge model instead of repair + cold start). The
+        // device dies, its KV cache is zeroed, every in-flight sequence is
+        // voided into the retry queue, and the clock jumps past recovery.
+        // Only crashes move the crash counters (`mark_crashed` and
+        // `crash_lost`): those stay exogenous-only, and `brownout_events`
+        // owns the brown-out path.
+        let outage = if let Some(&(start, end)) = reps[r]
             .crashes
             .get(reps[r].next_crash)
-            .is_some_and(|&(start, _)| start <= t_act)
+            .filter(|&&(start, _)| start <= t_act)
         {
-            let (start, end) = reps[r].crashes[reps[r].next_crash];
             reps[r].next_crash += 1;
             crash_events += 1;
-            let recovery = end + cluster.crash.cold_start_s;
+            Some((start, end + cluster.crash.cold_start_s, true))
+        } else if let Some((start, recovery)) = reps[r].engine.governance_take_outage() {
+            brownout_events += 1;
+            Some((start, recovery, false))
+        } else {
+            None
+        };
+        if let Some((start, recovery, crashed)) = outage {
             reps[r].outages.push((start, recovery));
-            let voided = reps[r].stepper.fail_all();
-            for id in voided {
+            for id in reps[r].stepper.fail_all() {
                 let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
                     continue;
                 };
@@ -818,50 +883,11 @@ pub fn simulate_cluster(
                     recycle(&mut member_pool, slot.members);
                     continue;
                 }
-                crash_lost += slot.members.len();
-                for &k in &slot.members {
-                    pq.mark_crashed(k);
-                }
-                pq.requeue_failed(
-                    &slot.members,
-                    t_act,
-                    cfg.max_retries,
-                    cfg.retry_backoff_s,
-                    &mut fleet,
-                );
-                recycle(&mut member_pool, slot.members);
-            }
-            reps[r].clock = reps[r].clock.max(recovery);
-            reps[r].drain_now = reps[r].drain_now.max(reps[r].clock);
-            reps[r].throttle_streak = 0;
-            // A configured breaker makes the rejoin cautious: the revived
-            // replica must pass its half-open probes before full traffic.
-            if let Some(b) = reps[r].breaker.as_mut() {
-                b.trip(recovery);
-            }
-            continue;
-        }
-
-        // A battery brown-out detected by the replica's own governor fires
-        // exactly like a crash window, except the recovery instant comes
-        // from the recharge model instead of the repair weather. Voided
-        // sequences re-enter the retry queue (no `mark_crashed`: the crash
-        // counters stay exogenous-only; `brownout_events` owns this path).
-        if let Some((start, recovery)) = reps[r].engine.governance_take_outage() {
-            brownout_events += 1;
-            reps[r].outages.push((start, recovery));
-            let voided = reps[r].stepper.fail_all();
-            for id in voided {
-                let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
-                    continue;
-                };
-                let slot = live.remove(pos);
-                if let Some(peer) = slot.pair {
-                    if let Some(p) = live.iter_mut().find(|s| s.key == peer) {
-                        p.pair = None;
+                if crashed {
+                    crash_lost += slot.members.len();
+                    for &k in &slot.members {
+                        pq.mark_crashed(k);
                     }
-                    recycle(&mut member_pool, slot.members);
-                    continue;
                 }
                 pq.requeue_failed(
                     &slot.members,
@@ -914,7 +940,9 @@ pub fn simulate_cluster(
                     let slot = live.remove(pos);
                     let spent = reps[r].stepper.cancel(slot.id).unwrap_or(0.0);
                     fleet.energy += spent;
-                    rep_accs[r].energy += spent;
+                    if let Some(acc) = rep_accs.get_mut(r) {
+                        acc.energy += spent;
+                    }
                     if let Some(peer) = slot.pair {
                         if let Some(p) = live.iter_mut().find(|s| s.key == peer) {
                             p.pair = None;
@@ -958,8 +986,8 @@ pub fn simulate_cluster(
             b.poll(now);
         }
 
-        // Fleet-level admission control, identical rules to the
-        // single-device loops.
+        // Fleet-level admission control, evaluated at every scheduling
+        // boundary.
         if let Some(d) = cfg.deadline_s {
             let shed = pq.shed_expired(now, d);
             if shed > 0 {
@@ -1021,7 +1049,7 @@ pub fn simulate_cluster(
                 let rep = &mut reps[r];
                 match rep
                     .stepper
-                    .admit_prefixed(&mut rep.engine, now, &req, shared_prefix)
+                    .admit_prefixed(rep.engine, now, &req, shared_prefix)
                 {
                     Ok(adm) => {
                         pq.commit_admitted(&group);
@@ -1160,9 +1188,9 @@ pub fn simulate_cluster(
                     let req =
                         GenerationRequest::new(cfg.prompt_tokens, out_tokens).with_batch(m_len);
                     let rep = &mut reps[q];
-                    let Ok(adm) =
-                        rep.stepper
-                            .admit_prefixed(&mut rep.engine, now, &req, shared_prefix)
+                    let Ok(adm) = rep
+                        .stepper
+                        .admit_prefixed(rep.engine, now, &req, shared_prefix)
                     else {
                         continue; // refusal leaves the target untouched
                     };
@@ -1190,7 +1218,7 @@ pub fn simulate_cluster(
 
         // One decode iteration for this replica's mixed-context batch.
         let rep = &mut reps[r];
-        match rep.stepper.step(&mut rep.engine) {
+        match rep.stepper.step(rep.engine) {
             Ok(out) => {
                 rep.clock = out.end_s;
                 rep.served = rep.served.max(out.end_s);
@@ -1209,7 +1237,9 @@ pub fn simulate_cluster(
                             let loser = live.remove(ppos);
                             let spent = reps[loser.replica].stepper.cancel(loser.id).unwrap_or(0.0);
                             fleet.energy += spent;
-                            rep_accs[loser.replica].energy += spent;
+                            if let Some(acc) = rep_accs.get_mut(loser.replica) {
+                                acc.energy += spent;
+                            }
                             hedge_energy_j += spent;
                             recycle(&mut member_pool, loser.members);
                         }
@@ -1220,31 +1250,38 @@ pub fn simulate_cluster(
                         // pair was dissolved.
                         hedge_wins += 1;
                     }
+                    let mut rep_acc = rep_accs.get_mut(r);
                     let mut step_missed = false;
                     let energy_share = f.outcome.total_energy_j() / slot.members.len() as f64;
                     for &k in &slot.members {
                         let arrival_s = pq.arrival_s(k);
                         let latency = completion - arrival_s;
                         let wait = slot.admit_s - arrival_s;
+                        let missed = cfg.deadline_s.is_some_and(|d| latency > d);
                         fleet.record_query(latency, wait);
-                        rep_accs[r].record_query(latency, wait);
-                        let mut missed = false;
-                        if let Some(d) = cfg.deadline_s {
-                            if latency > d {
-                                fleet.deadline_misses += 1;
-                                rep_accs[r].deadline_misses += 1;
-                                step_missed = true;
-                                missed = true;
+                        if missed {
+                            fleet.deadline_misses += 1;
+                            step_missed = true;
+                        }
+                        if let Some(acc) = rep_acc.as_mut() {
+                            acc.record_query(latency, wait);
+                            if missed {
+                                acc.deadline_misses += 1;
                             }
                         }
                         if let Some(st) = adm.as_mut() {
                             st.classes
                                 .record(pq.class_of(k), latency, missed, energy_share);
                         }
-                        if pq.take_crashed(k) {
+                        // Only crash outages mark queries, and they count
+                        // `crash_lost` as they do.
+                        if crash_lost > 0 && pq.take_crashed(k) {
                             crash_recovered += 1;
                         }
-                        lat_est.observe(latency);
+                        // The latency estimate arms hedging and nothing else.
+                        if cluster.hedge_factor.is_some() {
+                            lat_est.observe(latency);
+                        }
                     }
                     if let Some(st) = adm.as_mut() {
                         st.observe_service(service);
@@ -1258,19 +1295,17 @@ pub fn simulate_cluster(
                     for &k in &slot.members {
                         pq.release(k);
                     }
-                    fleet.energy += f.outcome.total_energy_j();
-                    fleet.tokens += f.outcome.total_generated_tokens() as f64;
-                    fleet.record_batch(slot.members.len());
-                    fleet.preemptions += f.outcome.preemptions;
-                    rep_accs[r].energy += f.outcome.total_energy_j();
-                    rep_accs[r].tokens += f.outcome.total_generated_tokens() as f64;
-                    rep_accs[r].record_batch(slot.members.len());
-                    rep_accs[r].preemptions += f.outcome.preemptions;
-                    recycle(&mut member_pool, slot.members);
-                    if reps[r].level > 0 {
-                        fleet.degraded_s += service;
-                        rep_accs[r].degraded_s += service;
+                    let degraded = reps[r].level > 0;
+                    for acc in std::iter::once(&mut fleet).chain(rep_acc) {
+                        acc.energy += f.outcome.total_energy_j();
+                        acc.tokens += f.outcome.total_generated_tokens() as f64;
+                        acc.record_batch(slot.members.len());
+                        acc.preemptions += f.outcome.preemptions;
+                        if degraded {
+                            acc.degraded_s += service;
+                        }
                     }
+                    recycle(&mut member_pool, slot.members);
                     if f.outcome.throttled_s > 0.0 {
                         reps[r].throttle_streak += 1;
                     } else {
@@ -1285,8 +1320,8 @@ pub fn simulate_cluster(
                     }
                 }
                 if !reps[r].stepper.is_busy() {
-                    // Drained: completions define this replica's clock,
-                    // exactly as in the single-device continuous loop.
+                    // Drained: completions (which carry the run-level
+                    // jitter) define this replica's clock.
                     reps[r].clock = reps[r].drain_now;
                     reps[r].served = reps[r].served.max(reps[r].drain_now);
                 }
@@ -1295,8 +1330,7 @@ pub fn simulate_cluster(
                 // The whole batch is stuck (e.g. an unplaceable waiting
                 // group): fail this replica's slots into the retry
                 // machinery; hedge twins elsewhere keep their queries.
-                let failed_ids = rep.stepper.fail_all();
-                for id in failed_ids {
+                for id in rep.stepper.fail_all() {
                     let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
                         continue;
                     };
@@ -1341,12 +1375,24 @@ pub fn simulate_cluster(
     };
 
     let fleet_energy_j = fleet.energy;
-    let replica_energy_j: Vec<f64> = rep_accs.iter().map(|acc| acc.energy).collect();
-    let replicas: Vec<ServingReport> = rep_accs
+    let fleet = fleet.into_report(cfg, wall);
+    let mut replica_energy_j: Vec<f64> = rep_accs.iter().map(|acc| acc.energy).collect();
+    let mut replicas: Vec<ServingReport> = rep_accs
         .into_iter()
         .zip(&reps)
         .map(|(acc, rep)| acc.into_report(cfg, rep.served))
         .collect();
+    if n == 1 {
+        // The lone replica booked into the fleet accumulator; shed, failed
+        // and retry counts are fleet-level decisions.
+        replicas.push(ServingReport {
+            shed_queries: 0,
+            failed_queries: 0,
+            retries: 0,
+            ..fleet
+        });
+        replica_energy_j.push(fleet_energy_j);
+    }
     let mut governance: Option<GovernanceStats> = None;
     let mut breaker_trips = 0usize;
     let mut breaker_rejoins = 0usize;
@@ -1363,7 +1409,7 @@ pub fn simulate_cluster(
     }
     let classes = adm.map(|st| st.classes.into_breakdown(pq.class_counts(), wall));
     let report = ClusterReport {
-        fleet: fleet.into_report(cfg, wall),
+        fleet,
         replicas,
         availability,
         crash_events,
@@ -1391,7 +1437,7 @@ pub fn simulate_cluster(
         let violations = crate::audit::audit_cluster(cfg, cluster, &report);
         debug_assert!(violations.is_empty(), "cluster audit: {violations:?}");
     }
-    Ok(report)
+    report
 }
 
 #[cfg(test)]

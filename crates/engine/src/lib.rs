@@ -79,10 +79,9 @@ pub use plan_cache::{EngineCounters, PhaseKey, PhaseKind, PhasePlanCache};
 pub use prefix_cache::{PrefixCache, PrefixCacheStats};
 pub use request::GenerationRequest;
 pub use serving::{
-    simulate_serving, simulate_serving_continuous, simulate_serving_overload,
-    simulate_serving_traffic, simulate_serving_with, AdmissionConfig, AdmissionPolicy,
-    ClassBreakdown, ClassReport, Priority, PriorityMix, SchedulerKind, ServingConfig,
-    ServingConfigError, ServingReport,
+    simulate_serving, simulate_serving_continuous, simulate_serving_traffic, simulate_serving_with,
+    AdmissionConfig, AdmissionPolicy, ClassBreakdown, ClassReport, Priority, PriorityMix,
+    SchedulerKind, ServingConfig, ServingConfigError, ServingReport,
 };
 pub use serving_reference::simulate_serving_continuous_reference;
 pub use session::{

@@ -1,8 +1,8 @@
 //! Multi-query serving simulation (§III-B: "edge deployment costs also
 //! benefit from batching and increased queries per second").
 //!
-//! A single-device, single-queue discrete-event simulation: queries arrive
-//! as a Poisson stream, the engine admits up to `max_batch` of them, and
+//! A single device serving one queue: queries arrive from an
+//! [`ArrivalProcess`], the engine admits up to `max_batch` of them, and
 //! the report captures throughput, queueing latency percentiles, and
 //! energy per query — quantifying how request rate turns into the batch-30
 //! cost advantage of Table III.
@@ -12,12 +12,18 @@
 //! * **Static** ([`simulate_serving`]) — gang scheduling: every admitted
 //!   batch runs to completion through [`InferenceEngine::run`] before the
 //!   next admission. This is the legacy loop, kept callable as the oracle.
-//! * **Continuous** ([`simulate_serving_continuous`]) — iteration-level
-//!   batching over the incremental [`BatchStepper`]: new queries join the
-//!   running batch at the next decode-iteration boundary instead of
-//!   waiting for it to drain (vLLM's continuous batching). With arrivals
-//!   spaced past batch completion, the continuous scheduler reproduces the
-//!   static report bit-exactly (see DESIGN.md §9).
+//! * **Continuous** ([`simulate_serving_continuous`],
+//!   [`simulate_serving_traffic`]) — iteration-level batching over the
+//!   incremental [`BatchStepper`](crate::stepper::BatchStepper): new
+//!   queries join the running batch at the next decode-iteration boundary
+//!   instead of waiting for it to drain (vLLM's continuous batching). The
+//!   device runs as the one calm replica of the fleet event loop in
+//!   [`crate::cluster`]. With arrivals spaced past batch completion, the
+//!   continuous scheduler reproduces the static report bit-exactly (see
+//!   DESIGN.md §9).
+//!
+//! This module owns the policy both loops apply: the configs, the
+//! admission controller and the degradation ladder.
 //!
 //! # Degraded-mode serving
 //!
@@ -46,10 +52,10 @@ use edgereasoning_soc::stats;
 use serde::{Deserialize, Serialize};
 
 use crate::arrivals::ArrivalProcess;
+use crate::cluster::{run_fleet, ClusterConfig, Replica};
 use crate::des::{PendingQueue, QKey, Visit};
 use crate::engine::InferenceEngine;
 use crate::request::GenerationRequest;
-use crate::stepper::{BatchStepper, SlotId};
 use crate::telemetry::{Ewma, ServingAccumulator};
 use crate::EngineError;
 
@@ -63,7 +69,8 @@ pub enum SchedulerKind {
     /// loop and the oracle for the continuous path).
     #[default]
     Static,
-    /// Iteration-level (continuous) batching over [`BatchStepper`].
+    /// Iteration-level (continuous) batching over
+    /// [`BatchStepper`](crate::stepper::BatchStepper).
     Continuous,
 }
 
@@ -579,8 +586,8 @@ pub(crate) fn poisson_arrivals(cfg: &ServingConfig, seed: u64) -> Vec<QueryState
     queries
 }
 
-/// Metric accumulators shared by the scheduler loops (and, per replica and
-/// fleet-wide, by `engine::cluster`).
+/// Stored-sample metric accumulators of the pre-DES reference loop
+/// ([`crate::serving_reference`]).
 #[derive(Default)]
 pub(crate) struct Accum {
     pub(crate) latencies: Vec<f64>,
@@ -1132,16 +1139,10 @@ pub fn simulate_serving(
     Ok(acc.into_report(cfg, now))
 }
 
-/// An admitted-but-unfinished slot in the continuous scheduler.
-struct LiveSlot {
-    id: SlotId,
-    admit_s: f64,
-    members: Vec<QKey>,
-}
-
 /// Runs the continuous (iteration-level) serving simulation: an
-/// event-driven scheduler over [`BatchStepper`] that admits ready queries
-/// into the running batch at every decode-iteration boundary.
+/// event-driven scheduler over [`BatchStepper`](crate::stepper::BatchStepper)
+/// that admits ready queries into the running batch at every
+/// decode-iteration boundary.
 ///
 /// With every robustness control off and arrivals spaced past batch
 /// completion (a drained queue), this reproduces [`simulate_serving`]'s
@@ -1149,13 +1150,19 @@ struct LiveSlot {
 /// at equal or better SLO attainment because admission no longer waits for
 /// the whole previous batch to drain.
 ///
-/// Since the discrete-event rewrite the loop runs on the
-/// [`crate::des`] core — a lazy arrival generator, an arena-backed pending
-/// queue and an event heap — so each scheduling boundary costs O(affected
-/// queries), not O(total trace length). Decisions and reports are
-/// bit-identical to the retired per-boundary-scan implementation (kept as
+/// The device is served as a one-replica fleet: `engine` is the lone
+/// replica of the [`crate::cluster`] event loop, with no crash, partition
+/// or breaker weather, so a single device and
+/// `simulate_cluster(&ClusterConfig::new(1, ..), ..)` run the same code.
+/// Outages the engine raises itself still apply: a battery brown-out voids
+/// the in-flight work into the retry queue until the recharge model brings
+/// the device back, and a device with no recharge path strands its queue.
+/// Decisions and reports are bit-identical to the retired
+/// per-boundary-scan implementation (kept as
 /// [`crate::serving_reference::simulate_serving_continuous_reference`] and
-/// asserted against in the regression suite).
+/// asserted against in the regression suite) wherever that loop modelled
+/// the run: it ignored brown-outs, and under recompute preemption it could
+/// snap the wall clock back before the stepper's own clock.
 ///
 /// # Errors
 ///
@@ -1170,7 +1177,7 @@ pub fn simulate_serving_continuous(
     cfg: &ServingConfig,
     seed: u64,
 ) -> Result<ServingReport, EngineError> {
-    simulate_serving_des(
+    simulate_serving_traffic(
         engine,
         model,
         prec,
@@ -1198,328 +1205,17 @@ pub fn simulate_serving_traffic(
     process: ArrivalProcess,
     seed: u64,
 ) -> Result<ServingReport, EngineError> {
-    simulate_serving_des(engine, model, prec, cfg, process, seed)
-}
-
-/// The discrete-event continuous-batching loop shared by
-/// [`simulate_serving_continuous`] and [`simulate_serving_traffic`].
-///
-/// Structure and decision order mirror the legacy loop boundary for
-/// boundary (idle jump → deadline shed → capacity shed → admission → step);
-/// only the data structures changed, so the emitted schedule — and with it
-/// every RNG draw and float operation — is identical.
-fn simulate_serving_des(
-    engine: &mut InferenceEngine,
-    model: ModelId,
-    prec: Precision,
-    cfg: &ServingConfig,
-    process: ArrivalProcess,
-    seed: u64,
-) -> Result<ServingReport, EngineError> {
-    simulate_serving_des_full(engine, model, prec, cfg, process, seed).map(|(r, _)| r)
-}
-
-/// As [`simulate_serving_des`], additionally returning the per-class
-/// breakdown when an [`AdmissionConfig`] is present (classes are only
-/// tagged — and therefore only reportable — with one configured).
-fn simulate_serving_des_full(
-    engine: &mut InferenceEngine,
-    model: ModelId,
-    prec: Precision,
-    cfg: &ServingConfig,
-    process: ArrivalProcess,
-    seed: u64,
-) -> Result<(ServingReport, Option<ClassBreakdown>), EngineError> {
     cfg.validate()
         .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
-    let mut pq = PendingQueue::new(process, cfg.arrival_qps, cfg.queries, seed);
-    let mut adm = cfg.admission.map(AdmissionState::new);
-    if let Some(a) = &cfg.admission {
-        pq.set_tagger(a.mix, a.class_seed);
-    }
-    let mut stepper = BatchStepper::new(engine, model, prec)?;
-    let mut live: Vec<LiveSlot> = Vec::new();
-    // Recycled member vectors: slot membership lists churn once per
-    // admission, so reuse their allocations instead of growing the heap.
-    let mut member_pool: Vec<Vec<QKey>> = Vec::new();
-    let mut group: Vec<QKey> = Vec::new();
-    let mut now = 0.0f64;
-    // Latest completion instant seen so far; when the stepper drains, the
-    // wall clock snaps to it (this is what makes the drained schedule
-    // bit-identical to the static loop, whose clock advances by the
-    // jittered outcome latency rather than the stepper's internal clock).
-    let mut drain_now = 0.0f64;
-    let mut level: u32 = 0;
-    let mut acc = ServingAccumulator::default();
-
-    loop {
-        if !stepper.is_busy() {
-            if pq.is_exhausted() {
-                break;
-            }
-            // Idle: jump to the earliest ready instant.
-            let min_ready = pq.min_ready();
-            if now < min_ready {
-                now = min_ready;
-            }
-        }
-        // Materialize every arrival due by the current instant; later ones
-        // stay inside the generator (the legacy loop pre-expanded them all).
-        pq.pump(now);
-
-        // Admission control, evaluated at every scheduling boundary
-        // (identical rules to the static loop; at drained-queue loads they
-        // fire at the same instants and decisions).
-        if let Some(d) = cfg.deadline_s {
-            let shed = pq.shed_expired(now, d);
-            if shed > 0 {
-                acc.shed += shed;
-                continue;
-            }
-        }
-        if cfg.queue_capacity > 0 {
-            let shed = pq.shed_over_capacity(now, cfg.queue_capacity);
-            if shed > 0 {
-                acc.shed += shed;
-                continue;
-            }
-        }
-        // CoDel-style queue aging: stale low-priority work is dropped
-        // early instead of poisoning the queue (priority policy only).
-        if let Some(st) = adm
-            .as_ref()
-            .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
-        {
-            let shed = pq.shed_aged(now, &st.cfg.age_target_s);
-            if shed > 0 {
-                acc.shed += shed;
-                continue;
-            }
-        }
-
-        // Iteration-level admission: fill the headroom the running batch
-        // leaves under the (possibly degraded) batch limit.
-        let eff_batch = effective_batch(cfg, level);
-        let room = eff_batch.saturating_sub(stepper.live_queries());
-        let mut slack_shed = 0usize;
-        if room > 0 {
-            match adm
-                .as_mut()
-                .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
-            {
-                Some(st) => {
-                    let need = (cfg.prompt_tokens + effective_out_tokens(cfg, level)) as u64;
-                    slack_shed = st.select(
-                        &mut pq,
-                        now,
-                        room,
-                        stepper.kv_free_tokens(),
-                        need,
-                        cfg.deadline_s,
-                        &mut group,
-                    );
-                    acc.shed += slack_shed;
-                }
-                None => pq.collect_ready(now, room, &mut group),
-            }
-            if !group.is_empty() {
-                let out_tokens = effective_out_tokens(cfg, level);
-                let req =
-                    GenerationRequest::new(cfg.prompt_tokens, out_tokens).with_batch(group.len());
-                match stepper.admit(engine, now, &req) {
-                    Ok(adm) => {
-                        pq.commit_admitted(&group);
-                        let mut members = member_pool.pop().unwrap_or_default();
-                        members.clear();
-                        members.extend_from_slice(&group);
-                        live.push(LiveSlot {
-                            id: adm.id,
-                            admit_s: now,
-                            members,
-                        });
-                        now = adm.end_s;
-                    }
-                    Err(_) => {
-                        pq.requeue_failed(
-                            &group,
-                            now,
-                            cfg.max_retries,
-                            cfg.retry_backoff_s,
-                            &mut acc,
-                        );
-                        if cfg.degradation {
-                            level = (level + 1).min(MAX_DEGRADE_LEVEL);
-                        }
-                    }
-                }
-                continue;
-            }
-        }
-        if !stepper.is_busy() {
-            // Nothing admitted and nothing running (e.g. every ready query
-            // was just requeued with backoff): wait for the next instant.
-            if slack_shed == 0 {
-                if let Some(st) = adm
-                    .as_mut()
-                    .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
-                {
-                    // Idle with ready work but an empty admission group:
-                    // either a bucket is starved (jump to its refill) or
-                    // nothing can ever admit (shed the head for liveness).
-                    let t = st.next_release_s(now);
-                    if t.is_finite() && t > now {
-                        now = t;
-                    } else {
-                        pq.collect_ready(now, 1, &mut group);
-                        if let Some(&k) = group.first() {
-                            if pq.shed_key(k) {
-                                acc.shed += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-
-        // One decode iteration for the whole mixed-context batch.
-        match stepper.step(engine) {
-            Ok(out) => {
-                now = out.end_s;
-                for f in out.retired {
-                    let Some(pos) = live.iter().position(|s| s.id == f.id) else {
-                        continue;
-                    };
-                    let slot = live.remove(pos);
-                    let service = f.outcome.total_latency_s() + f.extra_wait_s;
-                    let completion = slot.admit_s + service;
-                    drain_now = drain_now.max(completion);
-                    let mut step_missed = false;
-                    let energy_share = f.outcome.total_energy_j() / slot.members.len() as f64;
-                    for &k in &slot.members {
-                        let latency = completion - pq.arrival_s(k);
-                        acc.record_query(latency, slot.admit_s - pq.arrival_s(k));
-                        let mut missed = false;
-                        if let Some(d) = cfg.deadline_s {
-                            if latency > d {
-                                acc.deadline_misses += 1;
-                                step_missed = true;
-                                missed = true;
-                            }
-                        }
-                        if let Some(st) = adm.as_mut() {
-                            st.classes
-                                .record(pq.class_of(k), latency, missed, energy_share);
-                        }
-                    }
-                    if let Some(st) = adm.as_mut() {
-                        st.observe_service(service);
-                    }
-                    acc.energy += f.outcome.total_energy_j();
-                    acc.tokens += f.outcome.total_generated_tokens() as f64;
-                    acc.record_batch(slot.members.len());
-                    acc.preemptions += f.outcome.preemptions;
-                    if level > 0 {
-                        acc.degraded_s += service;
-                    }
-                    if cfg.degradation {
-                        if f.outcome.throttled_s > 0.0 || step_missed {
-                            level = (level + 1).min(MAX_DEGRADE_LEVEL);
-                        } else {
-                            level = level.saturating_sub(1);
-                        }
-                    }
-                    let mut members = slot.members;
-                    for k in members.drain(..) {
-                        pq.release(k);
-                    }
-                    member_pool.push(members);
-                }
-                if !stepper.is_busy() {
-                    // Drained: completions (which carry the run-level
-                    // jitter) define the wall clock, exactly as in the
-                    // static loop.
-                    now = drain_now;
-                }
-            }
-            Err(_) => {
-                // The whole batch is stuck (e.g. an unplaceable waiting
-                // group): fail every live slot and run the retry machinery
-                // (which re-defers or drops the in-flight members).
-                let failed_ids = stepper.fail_all();
-                for id in failed_ids {
-                    let Some(pos) = live.iter().position(|s| s.id == id) else {
-                        continue;
-                    };
-                    let mut slot = live.remove(pos);
-                    pq.requeue_failed(
-                        &slot.members,
-                        now,
-                        cfg.max_retries,
-                        cfg.retry_backoff_s,
-                        &mut acc,
-                    );
-                    slot.members.clear();
-                    member_pool.push(slot.members);
-                }
-                if cfg.degradation {
-                    level = (level + 1).min(MAX_DEGRADE_LEVEL);
-                }
-            }
-        }
-    }
-
-    let breakdown = adm.map(|st| st.classes.into_breakdown(pq.class_counts(), now));
-    let report = acc.into_report(cfg, now);
-    // Debug and test builds audit every run's ledgers on the way out; the
-    // release serving path pays nothing (study bins audit explicitly). A
-    // run whose device died for good strands its queue and is exempt from
-    // conservation (nothing retired the stranded work, by design).
-    #[cfg(any(test, debug_assertions))]
-    if pq.is_exhausted() {
-        let violations = crate::audit::audit_serving(cfg, &report);
-        debug_assert!(violations.is_empty(), "conservation audit: {violations:?}");
-        if let Some(b) = &breakdown {
-            let violations = crate::audit::audit_classes(cfg, &report, b);
-            debug_assert!(violations.is_empty(), "class audit: {violations:?}");
-        }
-    }
-    Ok((report, breakdown))
-}
-
-/// Runs the continuous scheduler with priority-class tagging and returns
-/// the per-class breakdown alongside the flat report. The flat report is
-/// what [`simulate_serving_traffic`] would produce for the same config;
-/// the breakdown splits it by [`Priority`] class.
-///
-/// # Errors
-///
-/// [`EngineError::InvalidRequest`] when `cfg.admission` is `None` (without
-/// tagging there are no classes to break down) or the config fails
-/// validation; engine failures as in [`simulate_serving_continuous`].
-pub fn simulate_serving_overload(
-    engine: &mut InferenceEngine,
-    model: ModelId,
-    prec: Precision,
-    cfg: &ServingConfig,
-    process: ArrivalProcess,
-    seed: u64,
-) -> Result<(ServingReport, ClassBreakdown), EngineError> {
-    if cfg.admission.is_none() {
-        return Err(EngineError::InvalidRequest(
-            "simulate_serving_overload requires an admission config".into(),
-        ));
-    }
-    let (report, classes) = simulate_serving_des_full(engine, model, prec, cfg, process, seed)?;
-    let classes = classes.ok_or_else(|| {
-        EngineError::InvalidRequest("admission config produced no class breakdown".into())
-    })?;
-    Ok((report, classes))
+    let calm = ClusterConfig::new(1, engine.config().clone());
+    let device = Replica::new(engine, model, prec)?;
+    Ok(run_fleet(&calm, vec![device], cfg, process, seed).fleet)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::simulate_cluster;
     use crate::engine::{EngineConfig, OomPolicy};
 
     fn engine() -> InferenceEngine {
@@ -2215,17 +1911,16 @@ mod tests {
             )
             .expect("runs");
             let tagged = load.with_admission(AdmissionConfig::fifo(PriorityMix::EDGE_MIX, 99));
-            let mut e = InferenceEngine::new(EngineConfig::vllm(), seed);
-            let (got, classes) = simulate_serving_overload(
-                &mut e,
+            let r = simulate_cluster(
+                &ClusterConfig::new(1, EngineConfig::vllm()),
                 ModelId::Dsr1Qwen1_5b,
                 Precision::Fp16,
                 &tagged,
-                ArrivalProcess::PoissonLegacy,
                 seed,
             )
             .expect("runs");
-            assert_eq!(want, got, "seed {seed}: FIFO tagging must be inert");
+            let classes = r.classes.expect("admission reports classes");
+            assert_eq!(want, r.fleet, "seed {seed}: FIFO tagging must be inert");
             let offered: usize = Priority::ALL
                 .iter()
                 .map(|&p| classes.class(p).offered)
@@ -2246,19 +1941,19 @@ mod tests {
         let fifo = overload.with_admission(AdmissionConfig::fifo(PriorityMix::EDGE_MIX, 5));
         let prio = overload.with_admission(AdmissionConfig::priority(PriorityMix::EDGE_MIX, 5));
         let run = |c: &ServingConfig| {
-            let mut e = InferenceEngine::new(EngineConfig::vllm(), 5);
-            simulate_serving_overload(
-                &mut e,
+            simulate_cluster(
+                &ClusterConfig::new(1, EngineConfig::vllm()),
                 ModelId::Dsr1Qwen1_5b,
                 Precision::Fp16,
                 c,
-                ArrivalProcess::PoissonLegacy,
                 5,
             )
             .expect("runs")
+            .classes
+            .expect("admission reports classes")
         };
-        let (_, fifo_classes) = run(&fifo);
-        let (_, prio_classes) = run(&prio);
+        let fifo_classes = run(&fifo);
+        let prio_classes = run(&prio);
         let fifo_slo = fifo_classes.class(Priority::Interactive).slo_attainment;
         let prio_slo = prio_classes.class(Priority::Interactive).slo_attainment;
         assert!(
@@ -2281,16 +1976,16 @@ mod tests {
             AdmissionConfig::priority(PriorityMix::EDGE_MIX, 5)
                 .with_age_target(Priority::Background, 0.001),
         );
-        let mut e = InferenceEngine::new(EngineConfig::vllm(), 9);
-        let (_, classes) = simulate_serving_overload(
-            &mut e,
+        let classes = simulate_cluster(
+            &ClusterConfig::new(1, EngineConfig::vllm()),
             ModelId::Dsr1Qwen1_5b,
             Precision::Fp16,
             &load,
-            ArrivalProcess::PoissonLegacy,
             9,
         )
-        .expect("runs");
+        .expect("runs")
+        .classes
+        .expect("admission reports classes");
         assert!(
             classes.class(Priority::Background).shed > 0,
             "stale background work must age out: {classes:?}"

@@ -5,9 +5,9 @@
 //! pre-expanded every arrival into a `Vec<QueryState>` and re-scanned the
 //! full pending vector at every scheduling boundary — O(total queries) per
 //! boundary, quadratic per run. That implementation lives on here, frozen,
-//! so the test suite can assert the production loop in [`crate::serving`]
-//! replays it bit for bit (same decisions, same RNG draws, same float
-//! summation order, same report bits). It is exercised only at small query
+//! so the test suite can assert the production loop (the one-replica fleet
+//! of [`crate::cluster`]) replays it bit for bit (same decisions, same RNG
+//! draws, same float summation order, same report bits). It is exercised only at small query
 //! counts; do not use it for large traces.
 
 use edgereasoning_kernels::arch::ModelId;
@@ -32,8 +32,11 @@ struct LiveSlot {
 /// The pre-DES continuous (iteration-level) serving loop, unchanged from
 /// the implementation that shipped before the discrete-event core. The
 /// production [`crate::serving::simulate_serving_continuous`] must produce
-/// bit-identical reports to this function on any configuration (asserted
-/// in `tests/des_regression.rs`).
+/// bit-identical reports to this function (asserted in
+/// `tests/des_regression.rs`) on every configuration but two this loop
+/// never modelled: battery brown-outs, which it ignores, and a drained
+/// batch that recompute preemption retires before the stepper's own clock,
+/// where it snaps the wall clock back to the completion.
 ///
 /// # Errors
 ///

@@ -14,10 +14,12 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The loop mirrors the DES serving loop boundary for boundary (idle jump
-//! → pump → deadline shed → capacity shed → admission → step → drain
-//! snap). With prefix caching disabled (or all-empty signatures) and a
-//! uniform trace ([`uniform_session_trace`] replays the exact legacy
+//! The loop mirrors one replica of the fleet event loop
+//! ([`crate::cluster`]) boundary for boundary (idle jump → pump → deadline
+//! shed → capacity shed → admission → step → drain snap), but admits each
+//! request alone with its own shape and drops an unplaceable one instead
+//! of retrying it. With prefix caching disabled (or all-empty signatures)
+//! and a uniform trace ([`uniform_session_trace`] replays the exact legacy
 //! Poisson stream), drained-queue runs produce reports bit-identical to
 //! [`crate::serving::simulate_serving_continuous`] — pinned by the DES
 //! regression suite and a 500-seed property test.

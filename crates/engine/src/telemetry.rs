@@ -76,8 +76,10 @@ impl Ewma {
     }
 }
 
-/// Metric accumulator shared by the serving/cluster scheduler loops (one
-/// per replica plus one fleet-wide in `engine::cluster`).
+/// Metric accumulator shared by the scheduler loops. The fleet loop in
+/// `engine::cluster` keeps one fleet-wide and, with more than one replica,
+/// one per replica; a lone replica's bookings are the fleet's, so it books
+/// once.
 #[derive(Debug, Clone)]
 pub struct ServingAccumulator {
     /// Total GPU+host energy booked, joules (includes cancelled work).
