@@ -31,6 +31,11 @@
 //! the only continuous scheduler. [`simulate_serving_continuous`] runs it
 //! over one calm replica on the caller's engine, so a single device and
 //! `ClusterConfig::new(1, ..)` serve the same schedule by construction.
+//! [`simulate_serving_sessions`] runs it the same way on a queue of
+//! requests that carry their own shape; the queue's source type selects
+//! the own-shape admission rules at compile time (see `run_fleet`), so
+//! brown-outs, the self-audit and every other fleet mechanism reach
+//! session traffic with no code of its own.
 //!
 //! # Determinism
 //!
@@ -43,6 +48,7 @@
 //! across runs and across `par_map_deterministic` thread counts.
 //!
 //! [`simulate_serving_continuous`]: crate::serving::simulate_serving_continuous
+//! [`simulate_serving_sessions`]: crate::session::simulate_serving_sessions
 
 use std::cmp::{Ordering, Reverse};
 
@@ -54,7 +60,7 @@ use edgereasoning_soc::thermal::GovernanceStats;
 use serde::{Deserialize, Serialize};
 
 use crate::arrivals::ArrivalProcess;
-use crate::des::{PendingQueue, QKey};
+use crate::des::{PendingQueue, QKey, Source};
 use crate::engine::{EngineConfig, InferenceEngine};
 use crate::request::GenerationRequest;
 use crate::serving::{
@@ -62,7 +68,7 @@ use crate::serving::{
     ServingConfig, ServingReport, MAX_DEGRADE_LEVEL,
 };
 use crate::stepper::{BatchStepper, SlotId};
-use crate::telemetry::{Ewma, ServingAccumulator};
+use crate::telemetry::{Distribution, Ewma, ServingAccumulator};
 use crate::EngineError;
 
 /// Seed-lane tags: every replica derives independent engine / disturbance /
@@ -517,7 +523,7 @@ pub struct ClusterReport {
 /// fleet and the caller reads its counters afterwards.
 pub(crate) struct Replica<'e> {
     engine: &'e mut InferenceEngine,
-    stepper: BatchStepper,
+    pub(crate) stepper: BatchStepper,
     /// Unconsumed crash outage windows `(start_s, end_s)`, in start order.
     crashes: Vec<(f64, f64)>,
     next_crash: usize,
@@ -720,35 +726,75 @@ pub fn simulate_cluster(
             ..Replica::new(engine, model, prec)?
         });
     }
-    Ok(run_fleet(
-        cluster,
-        reps,
-        cfg,
+    let arrivals = PendingQueue::new(
         ArrivalProcess::PoissonLegacy,
+        cfg.arrival_qps,
+        cfg.queries,
         seed,
-    ))
+    );
+    Ok(run_fleet(cluster, &mut reps, cfg, arrivals).report)
+}
+
+/// What [`run_fleet`] returns: the fleet report, the offered count behind
+/// its SLO, and what own-shape admissions booked.
+pub(crate) struct FleetRun {
+    pub(crate) report: ClusterReport,
+    /// Requests the source offered (the SLO denominator).
+    pub(crate) offered: usize,
+    /// Time to first token of each own-shape admission: queue wait plus
+    /// prefill.
+    pub(crate) ttft: Distribution,
+    /// Prompt tokens of own-shape admissions.
+    pub(crate) prompt_tokens: u64,
+    /// Of those, tokens served from the prefix cache.
+    pub(crate) cached_tokens: u64,
+}
+
+/// The shape of the request behind `k`, `(prompt, output, prefix)`: its
+/// own for an own-shape source, else the config's uniform shape at
+/// degradation `level` under the fleet's shared prefix.
+fn shape<'a, S: Source>(
+    pq: &'a PendingQueue<S>,
+    k: QKey,
+    cfg: &ServingConfig,
+    level: u32,
+    shared_prefix: &'a [u64],
+) -> (usize, usize, &'a [u64]) {
+    match pq.request(k) {
+        Some(q) => (q.prompt_tokens, q.output_tokens, &q.prefix),
+        None => (
+            cfg.prompt_tokens,
+            effective_out_tokens(cfg, level),
+            shared_prefix,
+        ),
+    }
 }
 
 /// The fleet event loop — the only continuous scheduler. `reps` serve the
-/// arrivals `process` draws from `seed` under the router policy in
-/// `cluster` (hedging, shared prefix, crash cold start); the caller has
-/// validated both configs and built each replica's weather.
+/// arrivals `pq` draws under the router policy in `cluster` (hedging,
+/// shared prefix, crash cold start); the caller has validated both configs
+/// and built each replica's weather.
 ///
 /// At every iteration the replica with the earliest actionable instant
 /// executes one scheduling step: outage or partition handling, then the
 /// continuous-batching boundary (idle jump → pump → deadline shed →
 /// capacity shed → aging shed → admission → hedge → step).
+///
+/// The queue's source type selects the admission rules at compile time. A
+/// uniform stream admits groups of the config's request shape. Own-shape
+/// requests admit one per boundary with their own prompt, output and
+/// prefix; a busy replica that refuses one keeps it queued while its batch
+/// steps, and an idle replica that refuses one fails it without retry.
+/// Either way the SLO denominator and the self-audit use the count the
+/// source offered.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn run_fleet(
+pub(crate) fn run_fleet<S: Source>(
     cluster: &ClusterConfig,
-    mut reps: Vec<Replica<'_>>,
+    reps: &mut [Replica<'_>],
     cfg: &ServingConfig,
-    process: ArrivalProcess,
-    seed: u64,
-) -> ClusterReport {
+    mut pq: PendingQueue<S>,
+) -> FleetRun {
     let n = reps.len();
-    // The shared arrival stream, drawn lazily.
-    let mut pq = PendingQueue::new(process, cfg.arrival_qps, cfg.queries, seed);
     let mut live: Vec<ClusterSlot> = Vec::new();
     let mut group: Vec<QKey> = Vec::new();
     // Recycled member buffers and hedge-candidate scratch: the router's
@@ -778,6 +824,9 @@ pub(crate) fn run_fleet(
     let mut brownout_events = 0usize;
     let mut partition_events = 0usize;
     let mut partition_voided = 0usize;
+    let mut ttft = Distribution::default();
+    let mut prompt_tokens = 0u64;
+    let mut cached_tokens = 0u64;
     // Fleet-wide priority admission: one controller in front of the shared
     // queue.
     let mut adm = cfg.admission.as_ref().map(|a| {
@@ -1022,6 +1071,7 @@ pub(crate) fn run_fleet(
         let room = eff_batch.saturating_sub(reps[r].stepper.live_queries());
         let mut slack_shed = 0usize;
         if room > 0 && !breaker_open {
+            let room = if S::OWN_SHAPE { 1 } else { room };
             match adm
                 .as_mut()
                 .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
@@ -1043,15 +1093,17 @@ pub(crate) fn run_fleet(
                 None => pq.collect_ready(now, room, &mut group),
             }
             if !group.is_empty() {
-                let out_tokens = effective_out_tokens(cfg, reps[r].level);
-                let req =
-                    GenerationRequest::new(cfg.prompt_tokens, out_tokens).with_batch(group.len());
+                let (prompt, out_tokens, prefix) =
+                    shape(&pq, group[0], cfg, reps[r].level, shared_prefix);
+                let req = GenerationRequest::new(prompt, out_tokens).with_batch(group.len());
                 let rep = &mut reps[r];
-                match rep
-                    .stepper
-                    .admit_prefixed(rep.engine, now, &req, shared_prefix)
-                {
+                match rep.stepper.admit_prefixed(rep.engine, now, &req, prefix) {
                     Ok(adm) => {
+                        if S::OWN_SHAPE {
+                            ttft.record(adm.end_s - pq.arrival_s(group[0]));
+                            prompt_tokens += prompt as u64;
+                            cached_tokens += adm.cached_tokens as u64;
+                        }
                         pq.commit_admitted(&group);
                         let mut members = member_pool.pop().unwrap_or_default();
                         members.extend_from_slice(&group);
@@ -1068,24 +1120,25 @@ pub(crate) fn run_fleet(
                         next_key += 1;
                         rep.clock = adm.end_s;
                         rep.served = rep.served.max(adm.end_s);
+                        continue;
                     }
+                    // A busy replica refusing an own-shape request keeps it
+                    // queued while the batch steps and frees KV.
+                    Err(_) if S::OWN_SHAPE && rep.stepper.is_busy() => {}
                     Err(_) => {
-                        pq.requeue_failed(
-                            &group,
-                            now,
-                            cfg.max_retries,
-                            cfg.retry_backoff_s,
-                            &mut fleet,
-                        );
+                        // An idle replica has its whole KV budget free: an
+                        // own-shape request it refuses can never be placed.
+                        let retries = if S::OWN_SHAPE { 0 } else { cfg.max_retries };
+                        pq.requeue_failed(&group, now, retries, cfg.retry_backoff_s, &mut fleet);
                         if let Some(b) = rep.breaker.as_mut() {
                             b.on_failure(now);
                         }
                         if cfg.degradation {
                             rep.level = (rep.level + 1).min(MAX_DEGRADE_LEVEL);
                         }
+                        continue;
                     }
                 }
-                continue;
             }
         }
         if !reps[r].stepper.is_busy() {
@@ -1156,7 +1209,11 @@ pub(crate) fn run_fleet(
                         let s = &live[orig_pos];
                         (s.replica, s.members.len(), s.out_tokens)
                     };
-                    let need = cfg.prompt_tokens + out_tokens;
+                    // The clone repeats the original's request: its
+                    // shape, with the output budget it was admitted at.
+                    let (prompt, _, prefix) =
+                        shape(&pq, live[orig_pos].members[0], cfg, 0, shared_prefix);
+                    let need = prompt + out_tokens;
                     // Best healthy, least-loaded target that could hold
                     // the clone.
                     let mut target: Option<(u8, u64, usize)> = None;
@@ -1185,13 +1242,9 @@ pub(crate) fn run_fleet(
                         }
                     }
                     let Some((_, _, q)) = target else { continue };
-                    let req =
-                        GenerationRequest::new(cfg.prompt_tokens, out_tokens).with_batch(m_len);
+                    let req = GenerationRequest::new(prompt, out_tokens).with_batch(m_len);
                     let rep = &mut reps[q];
-                    let Ok(adm) = rep
-                        .stepper
-                        .admit_prefixed(rep.engine, now, &req, shared_prefix)
-                    else {
+                    let Ok(adm) = rep.stepper.admit_prefixed(rep.engine, now, &req, prefix) else {
                         continue; // refusal leaves the target untouched
                     };
                     rep.clock = rep.clock.max(adm.end_s);
@@ -1363,7 +1416,7 @@ pub(crate) fn run_fleet(
 
     let wall = reps.iter().map(|rep| rep.served).fold(0.0f64, f64::max);
     let mut down_s = 0.0f64;
-    for rep in &reps {
+    for rep in reps.iter() {
         for &(start, recovery) in &rep.outages {
             down_s += (recovery.min(wall) - start.min(wall)).max(0.0);
         }
@@ -1374,12 +1427,21 @@ pub(crate) fn run_fleet(
         1.0
     };
 
+    // A stranded run (every replica browned out for good) leaves arrivals
+    // queued or undrawn; the offered count includes them.
+    #[cfg(any(test, debug_assertions))]
+    let drained = pq.is_exhausted();
+    let offered = pq.offered();
+    let cfg = &ServingConfig {
+        queries: offered,
+        ..*cfg
+    };
     let fleet_energy_j = fleet.energy;
     let fleet = fleet.into_report(cfg, wall);
     let mut replica_energy_j: Vec<f64> = rep_accs.iter().map(|acc| acc.energy).collect();
     let mut replicas: Vec<ServingReport> = rep_accs
         .into_iter()
-        .zip(&reps)
+        .zip(reps.iter())
         .map(|(acc, rep)| acc.into_report(cfg, rep.served))
         .collect();
     if n == 1 {
@@ -1396,7 +1458,7 @@ pub(crate) fn run_fleet(
     let mut governance: Option<GovernanceStats> = None;
     let mut breaker_trips = 0usize;
     let mut breaker_rejoins = 0usize;
-    for rep in &reps {
+    for rep in reps.iter() {
         if let Some(stats) = rep.engine.governance_stats() {
             governance
                 .get_or_insert_with(GovernanceStats::default)
@@ -1428,16 +1490,33 @@ pub(crate) fn run_fleet(
         replica_energy_j,
         classes,
     };
-    // Debug and test builds close the fleet's books on every run. A fleet
-    // that died for good (e.g. every battery flat with no recharge path)
-    // legitimately strands its queue — conservation only holds for runs
-    // that drained, so the stranded case is exempt.
+    // Debug and test builds close the fleet's books on every run: requests
+    // and joules, and on every replica the KV blocks and prefix pins. A
+    // fleet that died for good (e.g. every battery flat with no recharge
+    // path) legitimately strands its queue — conservation only holds for
+    // runs that drained, so the stranded case is exempt.
     #[cfg(any(test, debug_assertions))]
-    if pq.is_exhausted() {
+    if drained {
         let violations = crate::audit::audit_cluster(cfg, cluster, &report);
         debug_assert!(violations.is_empty(), "cluster audit: {violations:?}");
+        for (r, rep) in reps.iter().enumerate() {
+            let s = &rep.stepper;
+            debug_assert!(!s.is_busy(), "replica {r} still busy at drain");
+            debug_assert_eq!(s.prefix_outstanding_pins(), 0, "replica {r}: prefix pins");
+            debug_assert_eq!(
+                s.kv_free_tokens() + s.kv_evictable_tokens(),
+                s.kv_capacity_tokens(),
+                "replica {r}: KV blocks"
+            );
+        }
     }
-    report
+    FleetRun {
+        report,
+        offered,
+        ttft,
+        prompt_tokens,
+        cached_tokens,
+    }
 }
 
 #[cfg(test)]

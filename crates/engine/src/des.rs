@@ -14,12 +14,18 @@
 //! * [`QueryArena`] — a generational slot map holding only queries that
 //!   currently exist (backlogged or in flight). Keys ([`QKey`]) carry a
 //!   generation so a stale handle can never alias a recycled slot.
-//! * [`PendingQueue`] — lazy arrivals (drawn one at a time from an
-//!   [`ArrivalGen`]) feeding one seq-ordered ready *lane* per priority
-//!   class (untagged traffic uses the Interactive lane only) plus a small
-//!   deferred set for retry backoff. Every operation the legacy loops
-//!   performed by scanning all n queries is answered here in O(log n) or
-//!   O(affected entries):
+//! * [`PendingQueue`] — lazy arrivals (drawn one at a time from its
+//!   [`Source`]) feeding one seq-ordered ready *lane* per priority class
+//!   (untagged traffic uses the Interactive lane only) plus a small
+//!   deferred set for retry backoff. The default source, [`Uniform`],
+//!   draws a fixed number of arrivals of the config's one request shape
+//!   from an [`ArrivalGen`]; a [`Trace`] replays arrival-sorted
+//!   own-shape requests, whose payloads the queue keeps beside their
+//!   arena slots. The source type also selects the scheduler's admission
+//!   rules at compile time, so the uniform path monomorphizes to code with
+//!   no own-shape branches. Every operation the legacy loops performed by
+//!   scanning all n queries is answered here in O(log n) or O(affected
+//!   entries):
 //!   - earliest-ready instant: lane fronts + wakeup-heap peek + one
 //!     peeked arrival;
 //!   - deadline shed: arrivals are monotone in seq, so expired queries
@@ -52,7 +58,56 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::arrivals::{ArrivalGen, ArrivalProcess};
 use crate::serving::{Priority, PriorityMix};
+use crate::session::SessionRequest;
 use crate::telemetry::ServingAccumulator;
+
+/// Where a [`PendingQueue`]'s arrivals come from. The source type selects
+/// the scheduler's admission rules at compile time: a uniform stream
+/// shares the config's request shape and admits in groups, while
+/// own-shape requests admit one per boundary with their own prompt,
+/// output and prefix (see `cluster::run_fleet`).
+pub(crate) trait Source {
+    /// What the queue keeps beside each arrival's arena slot.
+    type Payload;
+    /// Whether each payload carries its own request shape.
+    const OWN_SHAPE: bool = false;
+    /// The next arrival instant and its payload; `None` once dry.
+    fn draw(&mut self) -> Option<(f64, Self::Payload)>;
+    /// The own-shape request a payload carries.
+    fn request(_: &Self::Payload) -> Option<&SessionRequest> {
+        None
+    }
+}
+
+/// The default source: `remaining` uniform arrivals drawn from an
+/// [`ArrivalGen`].
+#[derive(Debug, Clone)]
+pub(crate) struct Uniform {
+    gen: ArrivalGen,
+    remaining: usize,
+}
+
+impl Source for Uniform {
+    type Payload = ();
+    fn draw(&mut self) -> Option<(f64, ())> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some((self.gen.next_arrival(), ()))
+    }
+}
+
+/// An arrival-sorted trace of own-shape requests; `None` ends it.
+pub(crate) struct Trace<F>(pub(crate) F);
+
+impl<F: FnMut() -> Option<SessionRequest>> Source for Trace<F> {
+    type Payload = SessionRequest;
+    const OWN_SHAPE: bool = true;
+    fn draw(&mut self) -> Option<(f64, SessionRequest)> {
+        (self.0)().map(|q| (q.arrival_s, q))
+    }
+    fn request(q: &SessionRequest) -> Option<&SessionRequest> {
+        Some(q)
+    }
+}
 
 /// Per-priority-class conservation counters, indexed by
 /// [`Priority::index`]. The pending queue is the single point every query
@@ -259,13 +314,15 @@ pub(crate) enum Visit {
 
 /// The lazy pending-query queue driving a scheduler loop; see module docs.
 #[derive(Debug, Clone)]
-pub(crate) struct PendingQueue {
+pub(crate) struct PendingQueue<S: Source = Uniform> {
     arena: QueryArena,
-    gen: ArrivalGen,
-    /// Arrivals not yet drawn from the generator.
-    remaining: usize,
-    /// One drawn-but-future arrival instant (the lazy lookahead).
-    peeked: Option<f64>,
+    source: S,
+    /// Whether the source has run dry.
+    dry: bool,
+    /// One drawn-but-future arrival (the lazy lookahead).
+    peeked: Option<(f64, S::Payload)>,
+    /// Each arena slot's payload, indexed like the arena's entries.
+    payloads: Vec<S::Payload>,
     next_seq: u64,
     /// Arrived, never-deferred queries, one lane per class indexed by
     /// [`Priority::index`], each in seq order (`ready_s` monotone).
@@ -291,11 +348,22 @@ impl PendingQueue {
     /// A queue offering `total_queries` arrivals from `process` at mean
     /// rate `qps`, seeded like the legacy `poisson_arrivals`.
     pub(crate) fn new(process: ArrivalProcess, qps: f64, total_queries: usize, seed: u64) -> Self {
-        Self {
-            arena: QueryArena::default(),
+        Self::with_source(Uniform {
             gen: ArrivalGen::new(process, qps, seed),
             remaining: total_queries,
+        })
+    }
+}
+
+impl<S: Source> PendingQueue<S> {
+    /// A queue offering whatever `source` draws.
+    pub(crate) fn with_source(source: S) -> Self {
+        Self {
+            arena: QueryArena::default(),
+            source,
+            dry: false,
             peeked: None,
+            payloads: Vec::new(),
             next_seq: 0,
             lanes: Default::default(),
             deferred: Vec::new(),
@@ -350,8 +418,27 @@ impl PendingQueue {
     pub(crate) fn is_exhausted(&self) -> bool {
         self.lanes.iter().all(VecDeque::is_empty)
             && self.deferred.is_empty()
-            && self.remaining == 0
+            && self.dry
             && self.peeked.is_none()
+    }
+
+    /// Every request the source offers: those drawn so far plus whatever
+    /// it still holds, which this drains — a stranded run's SLO counts
+    /// them, as the uniform path counts every configured query.
+    pub(crate) fn offered(&mut self) -> usize {
+        let mut n = self.next_seq as usize + usize::from(self.peeked.is_some());
+        while !self.dry && self.source.draw().is_some() {
+            n += 1;
+        }
+        self.dry = true;
+        n
+    }
+
+    /// The own-shape request behind `k` (`None` for a uniform source or a
+    /// stale key).
+    pub(crate) fn request(&self, k: QKey) -> Option<&SessionRequest> {
+        self.arena.get(k)?;
+        self.payloads.get(k.idx as usize).and_then(S::request)
     }
 
     /// Queries currently backlogged (ready + deferred), for diagnostics.
@@ -396,9 +483,9 @@ impl PendingQueue {
     }
 
     fn draw_peek(&mut self) {
-        if self.peeked.is_none() && self.remaining > 0 {
-            self.peeked = Some(self.gen.next_arrival());
-            self.remaining -= 1;
+        if self.peeked.is_none() && !self.dry {
+            self.peeked = self.source.draw();
+            self.dry = self.peeked.is_none();
         }
     }
 
@@ -426,7 +513,7 @@ impl PendingQueue {
             self.wakeups.pop();
         }
         self.draw_peek();
-        if let Some(t) = self.peeked {
+        if let Some((t, _)) = self.peeked {
             m = m.min(t);
         }
         m
@@ -436,11 +523,9 @@ impl PendingQueue {
     pub(crate) fn pump(&mut self, now: f64) {
         loop {
             self.draw_peek();
-            let Some(t) = self.peeked else { break };
-            if t > now {
+            let Some((t, payload)) = self.peeked.take_if(|(t, _)| *t <= now) else {
                 break;
-            }
-            self.peeked = None;
+            };
             let seq = self.next_seq;
             self.next_seq += 1;
             let class = match self.tagger {
@@ -457,7 +542,18 @@ impl PendingQueue {
                 class,
                 phase: QueryPhase::Ready,
             });
-            self.lanes[class.index()].push_back(k);
+            match self.payloads.get_mut(k.idx as usize) {
+                Some(p) => *p = payload,
+                None => self.payloads.push(payload),
+            }
+            let lane = &mut self.lanes[class.index()];
+            // The lane-prefix sheds rely on arrival-sorted lanes.
+            debug_assert!(
+                lane.back()
+                    .is_none_or(|&b| self.arena.get(b).is_some_and(|s| s.arrival_s <= t)),
+                "arrivals must be sorted"
+            );
+            lane.push_back(k);
         }
     }
 

@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arrivals::ArrivalProcess;
 use crate::cluster::{run_fleet, ClusterConfig, Replica};
-use crate::des::{PendingQueue, QKey, Visit};
+use crate::des::{PendingQueue, QKey, Source, Visit};
 use crate::engine::InferenceEngine;
 use crate::request::GenerationRequest;
 use crate::telemetry::{Ewma, ServingAccumulator};
@@ -821,9 +821,9 @@ impl AdmissionState {
     /// walk can neither shed nor admit ends that class: nothing after it
     /// could be shed or admitted either.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn select(
+    pub(crate) fn select<S: Source>(
         &mut self,
-        pq: &mut PendingQueue,
+        pq: &mut PendingQueue<S>,
         now: f64,
         room: usize,
         free_kv_tokens: u64,
@@ -1209,7 +1209,8 @@ pub fn simulate_serving_traffic(
         .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
     let calm = ClusterConfig::new(1, engine.config().clone());
     let device = Replica::new(engine, model, prec)?;
-    Ok(run_fleet(&calm, vec![device], cfg, process, seed).fleet)
+    let arrivals = PendingQueue::new(process, cfg.arrival_qps, cfg.queries, seed);
+    Ok(run_fleet(&calm, &mut [device], cfg, arrivals).report.fleet)
 }
 
 #[cfg(test)]

@@ -14,28 +14,28 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The loop mirrors one replica of the fleet event loop
-//! ([`crate::cluster`]) boundary for boundary (idle jump → pump → deadline
-//! shed → capacity shed → admission → step → drain snap), but admits each
-//! request alone with its own shape and drops an unplaceable one instead
-//! of retrying it. With prefix caching disabled (or all-empty signatures)
-//! and a uniform trace ([`uniform_session_trace`] replays the exact legacy
-//! Poisson stream), drained-queue runs produce reports bit-identical to
-//! [`crate::serving::simulate_serving_continuous`] — pinned by the DES
-//! regression suite and a 500-seed property test.
-
-use std::collections::VecDeque;
+//! There is no session loop: a session trace runs on the fleet event loop
+//! ([`crate::cluster`]) as its one calm replica, fed a pending queue whose
+//! items carry their own shape. The queue's source type selects the
+//! own-shape rules — admit each request alone with its own shape, and drop
+//! one an idle device refuses instead of retrying it — so sessions and
+//! uniform traffic share every boundary (idle jump → pump → deadline shed
+//! → capacity shed → admission → step → drain) by construction. With
+//! prefix caching disabled (or all-empty signatures), a uniform trace
+//! ([`uniform_session_trace`] replays the exact legacy Poisson stream) and
+//! either drained queues or one sequence at a time, reports are
+//! bit-identical to [`crate::serving::simulate_serving_continuous`] —
+//! pinned by the DES regression suite, a 500-seed property test and the
+//! session regression suite.
 
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
-use edgereasoning_soc::stats::{self, sketch::DdSketch};
 
+use crate::cluster::{run_fleet, ClusterConfig, Replica};
+use crate::des::{PendingQueue, Trace};
 use crate::engine::InferenceEngine;
 use crate::prefix_cache::PrefixCacheStats;
-use crate::request::GenerationRequest;
 use crate::serving::{poisson_arrivals, ServingConfig, ServingReport};
-use crate::stepper::{BatchStepper, SlotId};
-use crate::telemetry::{ServingAccumulator, EXACT_SAMPLE_CAP, SKETCH_ALPHA};
 use crate::EngineError;
 
 /// One query of a session/template trace: its arrival instant, shape, and
@@ -174,7 +174,7 @@ impl PartialEq for SessionReport {
 /// session trace: the oracle input under which
 /// [`simulate_serving_sessions`] must match
 /// [`crate::serving::simulate_serving_continuous`] bit for bit on drained
-/// queues.
+/// queues, or at any load one sequence at a time.
 #[must_use]
 pub fn uniform_session_trace(cfg: &ServingConfig, seed: u64) -> Vec<SessionRequest> {
     poisson_arrivals(cfg, seed)
@@ -188,19 +188,20 @@ pub fn uniform_session_trace(cfg: &ServingConfig, seed: u64) -> Vec<SessionReque
         .collect()
 }
 
-/// An admitted-but-unfinished request.
-struct LiveSlot {
-    id: SlotId,
-    admit_s: f64,
-    arrival_s: f64,
-}
-
-/// Runs the session-aware continuous-batching loop over an arrival-sorted
-/// request source (`None` ends the trace; a lazy generator keeps memory
-/// independent of trace length). Each request is admitted individually
-/// with its own shape and prefix signature; cache-aware admission sees the
-/// stepper's *effective* free space because prefixed admission evicts
-/// cold tree paths on demand.
+/// Serves an arrival-sorted request source (`None` ends the trace; a lazy
+/// generator keeps memory independent of trace length) on one device. Each
+/// request is admitted individually with its own shape and prefix
+/// signature; cache-aware admission sees the stepper's *effective* free
+/// space because prefixed admission evicts cold tree paths on demand.
+///
+/// The device is the one calm replica of the fleet event loop in
+/// [`crate::cluster`], fed a queue whose items carry their own shape: the
+/// config maps onto a [`ServingConfig`] with no retries and no degradation,
+/// and prefix signatures are stripped when caching is off. Outages the
+/// engine raises itself apply as on any replica: a battery brown-out fails
+/// the in-flight requests and the device resumes once recharged. A device
+/// with no recharge path strands the rest of the trace, which still counts
+/// as offered (and so against SLO attainment).
 ///
 /// # Errors
 ///
@@ -217,203 +218,46 @@ pub fn simulate_serving_sessions(
     mut source: impl FnMut() -> Option<SessionRequest>,
 ) -> Result<SessionReport, EngineError> {
     cfg.validate().map_err(EngineError::InvalidRequest)?;
-    let mut stepper = BatchStepper::new(engine, model, prec)?;
-    let mut backlog: VecDeque<SessionRequest> = VecDeque::new();
-    let mut peeked = source();
-    let mut live: Vec<LiveSlot> = Vec::new();
-    let mut now = 0.0f64;
-    let mut drain_now = 0.0f64;
-    let mut offered = 0usize;
-    let mut acc = ServingAccumulator::default();
-    // TTFT-equivalent accumulation, exact window + sketch like telemetry.
-    let mut ttft_sum = 0.0f64;
-    let mut ttft_n = 0usize;
-    let mut ttft_exact: Vec<f64> = Vec::new();
-    let mut ttft_sketch = DdSketch::new(SKETCH_ALPHA);
-    let mut admitted_prompt_tokens = 0u64;
-    let mut cached_prompt_tokens = 0u64;
-
-    loop {
-        if !stepper.is_busy() {
-            if peeked.is_none() && backlog.is_empty() {
-                break;
-            }
-            // Idle: jump to the earliest ready instant.
-            let min_ready = backlog
-                .front()
-                .or(peeked.as_ref())
-                .map_or(f64::INFINITY, |q| q.arrival_s);
-            if now < min_ready {
-                now = min_ready;
-            }
-        }
-        // Materialize every arrival due by the current instant.
-        while peeked.as_ref().is_some_and(|q| q.arrival_s <= now) {
-            if let Some(q) = peeked.take() {
-                debug_assert!(
-                    backlog.back().is_none_or(|p| p.arrival_s <= q.arrival_s),
-                    "session traces must be arrival-sorted"
-                );
-                backlog.push_back(q);
-                offered += 1;
-            }
-            peeked = source();
-        }
-
-        // Deadline admission control: arrival-sorted, so expired waiting
-        // queries form a prefix of the backlog.
-        if let Some(d) = cfg.deadline_s {
-            let mut shed = 0usize;
-            while backlog.front().is_some_and(|q| now > q.arrival_s + d) {
-                backlog.pop_front();
-                shed += 1;
-            }
-            if shed > 0 {
-                acc.shed += shed;
-                continue;
-            }
-        }
-        // Bounded-queue load shedding: drop the newest waiting queries.
-        if cfg.queue_capacity > 0 {
-            let ready = backlog.partition_point(|q| q.arrival_s <= now);
-            if ready > cfg.queue_capacity {
-                // One O(n) drain of the contiguous newest-ready range, not
-                // an O(n) `remove` shift per shed entry.
-                backlog.drain(cfg.queue_capacity..ready);
-                acc.shed += ready - cfg.queue_capacity;
-                continue;
-            }
-        }
-
-        // Per-request admission into the running batch's headroom.
-        let room = cfg.max_batch.saturating_sub(stepper.live_queries());
-        if room > 0 && backlog.front().is_some_and(|q| q.arrival_s <= now) {
-            let admitted = match backlog.front() {
-                Some(q) => {
-                    let req = GenerationRequest::new(q.prompt_tokens, q.output_tokens);
-                    let sigs: &[u64] = if cfg.prefix_caching { &q.prefix } else { &[] };
-                    stepper.admit_prefixed(engine, now, &req, sigs)
-                }
-                None => continue,
-            };
-            match admitted {
-                Ok(adm) => {
-                    let Some(q) = backlog.pop_front() else {
-                        continue;
-                    };
-                    admitted_prompt_tokens += q.prompt_tokens as u64;
-                    cached_prompt_tokens += adm.cached_tokens as u64;
-                    let ttft = adm.end_s - q.arrival_s;
-                    ttft_sum += ttft;
-                    ttft_n += 1;
-                    if ttft_exact.len() < EXACT_SAMPLE_CAP {
-                        ttft_exact.push(ttft);
-                    }
-                    ttft_sketch.record(ttft);
-                    live.push(LiveSlot {
-                        id: adm.id,
-                        admit_s: now,
-                        arrival_s: q.arrival_s,
-                    });
-                    now = adm.end_s;
-                    continue;
-                }
-                Err(_) if !stepper.is_busy() => {
-                    // An idle device refused it: it can never be placed.
-                    backlog.pop_front();
-                    acc.failed += 1;
-                    continue;
-                }
-                // Busy: let the running batch drain some KV and retry at
-                // the next boundary.
-                Err(_) => {}
-            }
-        }
-        if !stepper.is_busy() {
-            continue;
-        }
-
-        // One decode iteration for the whole mixed-context batch.
-        match stepper.step(engine) {
-            Ok(out) => {
-                now = out.end_s;
-                for f in out.retired {
-                    let Some(pos) = live.iter().position(|s| s.id == f.id) else {
-                        continue;
-                    };
-                    let slot = live.remove(pos);
-                    let service = f.outcome.total_latency_s() + f.extra_wait_s;
-                    let completion = slot.admit_s + service;
-                    drain_now = drain_now.max(completion);
-                    let latency = completion - slot.arrival_s;
-                    acc.record_query(latency, slot.admit_s - slot.arrival_s);
-                    if let Some(d) = cfg.deadline_s {
-                        if latency > d {
-                            acc.deadline_misses += 1;
-                        }
-                    }
-                    acc.energy += f.outcome.total_energy_j();
-                    acc.tokens += f.outcome.total_generated_tokens() as f64;
-                    acc.record_batch(1);
-                    acc.preemptions += f.outcome.preemptions;
-                }
-                if !stepper.is_busy() {
-                    // Drained: completions define the wall clock, exactly
-                    // as in the uniform DES loop.
-                    now = drain_now;
-                }
-            }
-            Err(_) => {
-                // The whole batch is stuck: fail every live slot (the
-                // session loop has no retry machinery).
-                for id in stepper.fail_all() {
-                    if let Some(pos) = live.iter().position(|s| s.id == id) {
-                        live.remove(pos);
-                        acc.failed += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // `into_report` only reads `queries` (SLO attainment denominator);
-    // mirror the uniform loops by offering the trace length.
-    let report_cfg = ServingConfig::new(1.0, cfg.max_batch, offered.max(1), 1, 1);
-    let serving = acc.into_report(&report_cfg, now);
-    let (avg_ttft_s, p99_ttft_s) = if ttft_n == 0 {
-        (0.0, f64::NAN)
-    } else if ttft_n <= EXACT_SAMPLE_CAP {
-        ttft_exact.sort_by(|a, b| a.total_cmp(b));
-        (
-            ttft_sum / ttft_n as f64,
-            stats::percentile_sorted(&ttft_exact, 99.0).unwrap_or(f64::NAN),
-        )
-    } else {
-        (
-            ttft_sum / ttft_n as f64,
-            ttft_sketch.quantile(0.99).unwrap_or(f64::NAN),
-        )
+    // Requests bring their own shape and count; only the scheduler knobs
+    // carry over.
+    let serving = ServingConfig {
+        deadline_s: cfg.deadline_s,
+        queue_capacity: cfg.queue_capacity,
+        ..ServingConfig::new(1.0, cfg.max_batch, 1, 1, 1)
     };
+    let caching = cfg.prefix_caching;
+    let trace = PendingQueue::with_source(Trace(move || {
+        let mut q = source()?;
+        if !caching {
+            q.prefix = Vec::new();
+        }
+        Some(q)
+    }));
+    let calm = ClusterConfig::new(1, engine.config().clone());
+    let mut device = [Replica::new(engine, model, prec)?];
+    let mut run = run_fleet(&calm, &mut device, &serving, trace);
+    let serving = run.report.fleet;
     let goodput_qps = if serving.wall_s > 0.0 {
         (serving.completed - serving.deadline_misses) as f64 / serving.wall_s
     } else {
         0.0
     };
-    let prefix_hit_rate = if admitted_prompt_tokens > 0 {
-        cached_prompt_tokens as f64 / admitted_prompt_tokens as f64
+    let prefix_hit_rate = if run.prompt_tokens > 0 {
+        run.cached_tokens as f64 / run.prompt_tokens as f64
     } else {
         0.0
     };
+    let [p99_ttft_s] = run.ttft.percentiles([99.0]);
     Ok(SessionReport {
         serving,
-        offered,
-        avg_ttft_s,
+        offered: run.offered,
+        avg_ttft_s: run.ttft.mean(),
         p99_ttft_s,
         goodput_qps,
-        admitted_prompt_tokens,
-        cached_prompt_tokens,
+        admitted_prompt_tokens: run.prompt_tokens,
+        cached_prompt_tokens: run.cached_tokens,
         prefix_hit_rate,
-        prefix: stepper.prefix_stats(),
+        prefix: device[0].stepper.prefix_stats(),
     })
 }
 

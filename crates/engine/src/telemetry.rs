@@ -3,7 +3,9 @@
 //! Pre-PR6 the serving loops buffered every latency/wait/batch sample in
 //! `Vec<f64>`s and sorted them per percentile call — O(n) resident memory
 //! and O(n log n) per report, untenable at the 10^6-request traces the
-//! `traffic_study` bin sweeps. [`ServingAccumulator`] replaces that with:
+//! `traffic_study` bin sweeps. [`ServingAccumulator`] replaces that with
+//! one streaming `Distribution` per metric (latency and queue wait; time to
+//! first token of own-shape admissions uses the same type), each holding:
 //!
 //! * **running sums** for every mean, accumulated in completion order —
 //!   the identical left-to-right f64 additions `stats::mean` performed on
@@ -76,11 +78,81 @@ impl Ewma {
     }
 }
 
+/// A streaming distribution of one metric: a running sum for the mean, an
+/// exact window of the first [`EXACT_SAMPLE_CAP`] samples, and a sketch of
+/// every sample. Latency, queue wait and time to first token all use it.
+#[derive(Debug, Clone)]
+pub(crate) struct Distribution {
+    count: usize,
+    sum: f64,
+    exact: Vec<f64>,
+    sketch: DdSketch,
+}
+
+impl Default for Distribution {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            sum: 0.0,
+            exact: Vec::new(),
+            sketch: DdSketch::new(SKETCH_ALPHA),
+        }
+    }
+}
+
+impl Distribution {
+    /// Records one sample.
+    pub(crate) fn record(&mut self, x: f64) {
+        self.count += 1;
+        self.sum += x;
+        if self.exact.len() < EXACT_SAMPLE_CAP {
+            self.exact.push(x);
+        }
+        self.sketch.record(x);
+    }
+
+    /// Samples recorded.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Mean of the samples, in record order (0 when empty).
+    pub(crate) fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Merges another shard: counts and sums add, the exact windows
+    /// concatenate while they fit, and the sketches merge.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.count += other.count;
+        self.sum += other.sum;
+        let room = EXACT_SAMPLE_CAP.saturating_sub(self.exact.len());
+        self.exact.extend(other.exact.iter().take(room));
+        self.sketch.merge(&other.sketch);
+    }
+
+    /// The percentiles `ps` (each in `[0, 100]`; NaN when empty): read from
+    /// one sort of the exact window while every sample fits in it, from
+    /// the sketch past it.
+    pub(crate) fn percentiles<const N: usize>(&mut self, ps: [f64; N]) -> [f64; N] {
+        if self.count <= EXACT_SAMPLE_CAP {
+            self.exact.sort_by(f64::total_cmp);
+            ps.map(|p| stats::percentile_sorted(&self.exact, p).unwrap_or(f64::NAN))
+        } else {
+            ps.map(|p| self.sketch.quantile(p / 100.0).unwrap_or(f64::NAN))
+        }
+    }
+}
+
 /// Metric accumulator shared by the scheduler loops. The fleet loop in
 /// `engine::cluster` keeps one fleet-wide and, with more than one replica,
 /// one per replica; a lone replica's bookings are the fleet's, so it books
 /// once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServingAccumulator {
     /// Total GPU+host energy booked, joules (includes cancelled work).
     pub(crate) energy: f64,
@@ -98,53 +170,19 @@ pub struct ServingAccumulator {
     pub(crate) deadline_misses: usize,
     /// Wall seconds served at a non-zero degradation level.
     pub(crate) degraded_s: f64,
-    completed: usize,
-    lat_sum: f64,
-    wait_sum: f64,
+    /// End-to-end latency of each completed query.
+    lat: Distribution,
+    /// Queue wait of each completed query.
+    wait: Distribution,
     batch_sum: f64,
     batch_count: usize,
-    exact_lat: Vec<f64>,
-    exact_wait: Vec<f64>,
-    lat_sketch: DdSketch,
-    wait_sketch: DdSketch,
-}
-
-impl Default for ServingAccumulator {
-    fn default() -> Self {
-        Self {
-            energy: 0.0,
-            tokens: 0.0,
-            shed: 0,
-            failed: 0,
-            retries: 0,
-            preemptions: 0,
-            deadline_misses: 0,
-            degraded_s: 0.0,
-            completed: 0,
-            lat_sum: 0.0,
-            wait_sum: 0.0,
-            batch_sum: 0.0,
-            batch_count: 0,
-            exact_lat: Vec::new(),
-            exact_wait: Vec::new(),
-            lat_sketch: DdSketch::new(SKETCH_ALPHA),
-            wait_sketch: DdSketch::new(SKETCH_ALPHA),
-        }
-    }
 }
 
 impl ServingAccumulator {
     /// Records one completed query's end-to-end latency and queue wait.
     pub fn record_query(&mut self, latency_s: f64, wait_s: f64) {
-        self.completed += 1;
-        self.lat_sum += latency_s;
-        self.wait_sum += wait_s;
-        if self.exact_lat.len() < EXACT_SAMPLE_CAP {
-            self.exact_lat.push(latency_s);
-            self.exact_wait.push(wait_s);
-        }
-        self.lat_sketch.record(latency_s);
-        self.wait_sketch.record(wait_s);
+        self.lat.record(latency_s);
+        self.wait.record(wait_s);
     }
 
     /// Records one admitted batch's size.
@@ -156,7 +194,7 @@ impl ServingAccumulator {
     /// Completed-query count (the legacy `latencies.len()`).
     #[must_use]
     pub fn completed(&self) -> usize {
-        self.completed
+        self.lat.count()
     }
 
     /// Merges another shard's accumulator into this one. Counter and sketch
@@ -171,22 +209,10 @@ impl ServingAccumulator {
         self.preemptions += other.preemptions;
         self.deadline_misses += other.deadline_misses;
         self.degraded_s += other.degraded_s;
-        self.completed += other.completed;
-        self.lat_sum += other.lat_sum;
-        self.wait_sum += other.wait_sum;
+        self.lat.merge(&other.lat);
+        self.wait.merge(&other.wait);
         self.batch_sum += other.batch_sum;
         self.batch_count += other.batch_count;
-        // Exact windows concatenate while the union still fits; once the
-        // merged run exceeds the cap the report uses the sketches anyway.
-        for (i, &x) in other.exact_lat.iter().enumerate() {
-            if self.exact_lat.len() >= EXACT_SAMPLE_CAP {
-                break;
-            }
-            self.exact_lat.push(x);
-            self.exact_wait.push(other.exact_wait[i]);
-        }
-        self.lat_sketch.merge(&other.lat_sketch);
-        self.wait_sketch.merge(&other.wait_sketch);
     }
 
     /// Finalizes the report. Within the exact window this is bit-identical
@@ -195,24 +221,9 @@ impl ServingAccumulator {
     /// the DDSketch within [`SKETCH_ALPHA`] relative error.
     #[must_use]
     pub fn into_report(mut self, cfg: &ServingConfig, now: f64) -> ServingReport {
-        let completed = self.completed;
-        let (p50, p95, p99, p99_wait) = if completed <= EXACT_SAMPLE_CAP {
-            self.exact_lat.sort_by(|a, b| a.total_cmp(b));
-            self.exact_wait.sort_by(|a, b| a.total_cmp(b));
-            (
-                stats::percentile_sorted(&self.exact_lat, 50.0).unwrap_or(f64::NAN),
-                stats::percentile_sorted(&self.exact_lat, 95.0).unwrap_or(f64::NAN),
-                stats::percentile_sorted(&self.exact_lat, 99.0).unwrap_or(f64::NAN),
-                stats::percentile_sorted(&self.exact_wait, 99.0).unwrap_or(f64::NAN),
-            )
-        } else {
-            (
-                self.lat_sketch.quantile(0.50).unwrap_or(f64::NAN),
-                self.lat_sketch.quantile(0.95).unwrap_or(f64::NAN),
-                self.lat_sketch.quantile(0.99).unwrap_or(f64::NAN),
-                self.wait_sketch.quantile(0.99).unwrap_or(f64::NAN),
-            )
-        };
+        let completed = self.completed();
+        let [p50, p95, p99] = self.lat.percentiles([50.0, 95.0, 99.0]);
+        let [p99_wait] = self.wait.percentiles([99.0]);
         let slo_attainment = if completed == 0 {
             0.0
         } else {
@@ -225,11 +236,7 @@ impl ServingAccumulator {
             } else {
                 0.0
             },
-            avg_latency_s: if completed == 0 {
-                0.0
-            } else {
-                self.lat_sum / completed as f64
-            },
+            avg_latency_s: self.lat.mean(),
             p50_latency_s: p50,
             p95_latency_s: p95,
             avg_batch: if self.batch_count == 0 {
@@ -257,11 +264,7 @@ impl ServingAccumulator {
             p99_latency_s: p99,
             degraded_s: self.degraded_s,
             slo_attainment,
-            avg_queue_wait_s: if completed == 0 {
-                0.0
-            } else {
-                self.wait_sum / completed as f64
-            },
+            avg_queue_wait_s: self.wait.mean(),
             p99_queue_wait_s: p99_wait,
         }
     }
@@ -337,7 +340,7 @@ mod tests {
         for i in 0..n {
             acc.record_query(1.0 + i as f64 / 100.0, 0.5);
         }
-        assert!(acc.exact_lat.len() <= EXACT_SAMPLE_CAP);
+        assert!(acc.lat.exact.len() <= EXACT_SAMPLE_CAP);
         let r = acc.into_report(&cfg(), 1000.0);
         // Samples are 1.0 .. 1.0 + (n-1)/100; p95 within alpha.
         let exact = 1.0 + (0.95 * (n - 1) as f64).floor() / 100.0;

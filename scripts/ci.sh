@@ -51,4 +51,26 @@ done
 echo "==> conservation auditor re-check over study-smoke configurations"
 cargo test --release -q --test properties auditor_passes_on_study_smoke_configs
 
+# Every edgebench workload prints an output fingerprint per seed; it must
+# match the benchmark pin table in ROADMAP.md (columns: seed 0, seed 7919).
+# A change that moves one updates the table and explains why. The
+# fingerprint does not depend on run length, so one second per run does.
+echo "==> edgebench output fingerprints match the ROADMAP pins"
+cargo build --release --quiet --offline --manifest-path edgebench/Cargo.toml
+for workload in characterize fleet_storm agent_sessions; do
+    row=$(grep -F "| \`$workload\` |" ROADMAP.md || true)
+    read -r -a pins <<< "$(grep -oE '`[0-9a-f]{16}`' <<< "$row" | tr -d '`' | tr '\n' ' ')"
+    [ "${#pins[@]}" -eq 2 ] || { echo "FAIL: ROADMAP.md has no seed 0 / 7919 pin row for $workload"; exit 1; }
+    for i in 0 1; do
+        seed=$([ "$i" -eq 0 ] && echo 0 || echo 7919)
+        got=$(edgebench/target/release/edgebench --workload "$workload" --seed "$seed" \
+            --seconds 1 --trace 0 2>&1 | grep -oE 'output fingerprint [0-9a-f]{16}' | cut -d' ' -f3 || true)
+        [ "$got" = "${pins[$i]}" ] || {
+            echo "FAIL: $workload seed $seed fingerprint '${got}' != ROADMAP pin ${pins[$i]}"
+            exit 1
+        }
+        echo "    $workload seed $seed: $got"
+    done
+done
+
 echo "CI OK"
