@@ -2,7 +2,6 @@
 
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
-use std::collections::VecDeque;
 
 use edgereasoning_kernels::phases::{
     build_decode_attn_into, build_decode_base_into, build_prefill_into, KernelPlan,
@@ -14,10 +13,10 @@ use edgereasoning_soc::spec::{GpuSpec, OrinSpec, PowerMode};
 use edgereasoning_soc::thermal::{GovernanceConfig, GovernanceStats, ThermalGovernor};
 use serde::{Deserialize, Serialize};
 
-use crate::kv_cache::{KvCacheManager, SeqId};
-use crate::outcome::{InferenceOutcome, TbtSample, TraceRec};
+use crate::outcome::{InferenceOutcome, TbtSample};
 use crate::plan_cache::{EngineCounters, PhaseKey, PhaseKind, PhasePlanCache};
 use crate::request::GenerationRequest;
+use crate::stepper::BatchStepper;
 use crate::EngineError;
 
 /// The serving stacks compared in the paper's Table IX.
@@ -298,12 +297,14 @@ impl InferenceEngine {
         !derate.is_identity()
     }
 
-    /// Kernel-stall windows of the installed schedule starting inside
-    /// `[t0, t1)`: their count and total stall seconds, served from the
-    /// O(log n) [`FaultIndex`] (bit-identical to
-    /// [`FaultSchedule::stalls_in`]).
-    pub(crate) fn stalls_in(&self, t0: f64, t1: f64) -> (usize, f64) {
-        self.fault_index.stalls_in(t0, t1)
+    /// Charges the kernel-stall windows of the installed schedule that
+    /// start inside the busy segment `[t0, t1)`: counts them and returns
+    /// their total stall seconds, served from the O(log n) [`FaultIndex`]
+    /// (bit-identical to [`FaultSchedule::stalls_in`]).
+    pub(crate) fn charge_stalls(&mut self, t0: f64, t1: f64) -> f64 {
+        let (n_stalls, stall_s) = self.fault_index.stalls_in(t0, t1);
+        self.counters.stalls += n_stalls as u64;
+        stall_s
     }
 
     /// Feeds a simulated busy segment's energy into the governance loop
@@ -468,12 +469,18 @@ impl InferenceEngine {
     /// studies tractable — mirroring the paper's own use of fitted models
     /// for full-dataset latency.
     ///
+    /// A run is one drained admission into a fresh [`BatchStepper`] at
+    /// [`clock_s`](Self::clock_s), stepped until it retires, so it executes
+    /// exactly the code that serves: the OOM policy, fault weather and the
+    /// thermal/battery governor all apply as they do under the serving
+    /// schedulers. The engine's own clock does not move.
+    ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InvalidRequest`] for zero-sized fields and
-    /// [`EngineError::OutOfMemory`] when weights + KV cache do not fit
-    /// (under [`OomPolicy::PreemptRecompute`], only when even a single
-    /// sequence cannot fit end to end).
+    /// Returns [`EngineError::InvalidRequest`] for zero-sized fields or a
+    /// malformed governance config and [`EngineError::OutOfMemory`] when
+    /// weights + KV cache do not fit (under [`OomPolicy::PreemptRecompute`],
+    /// only when even a single sequence cannot fit end to end).
     pub fn run(
         &mut self,
         model: ModelId,
@@ -481,381 +488,19 @@ impl InferenceEngine {
         req: &GenerationRequest,
     ) -> Result<InferenceOutcome, EngineError> {
         req.validate().map_err(EngineError::InvalidRequest)?;
-        self.validate_governance()?;
-        match self.config.oom_policy {
-            OomPolicy::FailFast => self.run_fail_fast(model, prec, req),
-            OomPolicy::PreemptRecompute => self.run_preempt_recompute(model, prec, req),
+        let mut stepper = BatchStepper::new(self, model, prec)?;
+        stepper.admit(self, self.clock_s, req)?;
+        loop {
+            if let Some(done) = stepper.step(self)?.retired.pop() {
+                return Ok(done.outcome);
+            }
         }
     }
 
-    /// The historical all-or-nothing path: the whole request is reserved up
-    /// front and any mid-run KV exhaustion aborts the generation. With an
-    /// empty fault schedule this path is bit-identical to the pre-fault
-    /// engine: phase costs, RNG draw order and float summation order are
-    /// unchanged.
-    fn run_fail_fast(
-        &mut self,
-        model: ModelId,
-        prec: Precision,
-        req: &GenerationRequest,
-    ) -> Result<InferenceOutcome, EngineError> {
-        let arch = model.arch();
-        let cache_bytes = self.kv_budget_bytes(model, prec)?;
-        let mut kv = KvCacheManager::new(&arch, cache_bytes, self.config.kv_block_tokens)?;
-
-        // Reserve the whole request up front (vLLM would admit and preempt;
-        // for a single request the effect is the same).
-        if !kv.would_fit(req.batch, req.prompt_tokens + req.max_new_tokens) {
-            return Err(oom_error(&kv, req));
-        }
-        let mut seqs = Vec::with_capacity(req.batch);
-        for _ in 0..req.batch {
-            match kv.allocate(req.prompt_tokens) {
-                Some(id) => seqs.push(id),
-                None => return Err(oom_error(&kv, req)),
-            }
-        }
-
-        let arch_fp = arch.fingerprint();
-        let mk_key = |gpu_fp: u64, kind: PhaseKind, batch: usize, shape: usize| PhaseKey {
-            arch_fp,
-            gpu_fp,
-            precision: prec,
-            kind,
-            batch,
-            shape,
-        };
-        let t0 = self.clock_s;
-        let mut elapsed = 0.0f64;
-        let mut throttled_s = 0.0f64;
-        let idle_w = self.gpu.power_model().idle_w;
-
-        // --- Prefill (batch 1, shared prompt). ---
-        let throttled = self.apply_faults_at(t0);
-        let gpu_fp = self.gpu.config_fingerprint();
-        let prefill_det = self.deterministic_phase(
-            mk_key(gpu_fp, PhaseKind::Prefill, 1, req.prompt_tokens),
-            &arch.calib.prefill,
-            |plan| build_prefill_into(plan, &arch, prec, 1, req.prompt_tokens),
-        );
-        let mut prefill = self.gpu.perturb_phase(&prefill_det);
-        if throttled {
-            self.counters.throttled_phases += 1;
-            throttled_s += prefill.latency_s;
-        }
-        let (n_stalls, stall_s) = self.fault_index.stalls_in(t0, t0 + prefill.latency_s);
-        if n_stalls > 0 {
-            self.counters.stalls += n_stalls as u64;
-            if stall_s > 0.0 {
-                prefill.merge(&idle_gap(stall_s, idle_w));
-            }
-        }
-        elapsed += prefill.latency_s;
-
-        // --- Decode, chunked over growing context. The context-independent
-        // base aggregate is computed once per GPU operating point (i.e.
-        // once per run unless a disturbance window changes the derate);
-        // only the attention part varies per chunk. ---
-        let host_per_step =
-            self.config.host_per_step_s + self.config.host_per_seq_step_s * req.batch as f64;
-        let mut base_cache: Option<(u64, PhaseStats)> = None;
-        let mut decode = PhaseStats::default();
-        let mut trace = TraceRec::new(self.config.tbt_trace_cap);
-        let mut produced = 0usize;
-        while produced < req.max_new_tokens {
-            let chunk = self.config.decode_chunk.min(req.max_new_tokens - produced);
-            let ctx = req.prompt_tokens + produced + chunk / 2;
-            for &s in &seqs {
-                if !kv.grow(s, req.prompt_tokens + produced + chunk)? {
-                    return Err(oom_error(&kv, req));
-                }
-            }
-            let throttled = self.apply_faults_at(t0 + elapsed);
-            let gpu_fp = self.gpu.config_fingerprint();
-            let base_det = match base_cache {
-                Some((fp, stats)) if fp == gpu_fp => stats,
-                _ => {
-                    let stats = self.deterministic_phase(
-                        mk_key(gpu_fp, PhaseKind::DecodeBase, req.batch, 0),
-                        &arch.calib.decode,
-                        |plan| build_decode_base_into(plan, &arch, prec, req.batch),
-                    );
-                    base_cache = Some((gpu_fp, stats));
-                    stats
-                }
-            };
-            let ctx_det = self.deterministic_phase(
-                mk_key(gpu_fp, PhaseKind::DecodeCtx, req.batch, ctx),
-                &arch.calib.decode,
-                |plan| build_decode_attn_into(plan, &arch, prec, req.batch, ctx),
-            );
-            // Merge in fixed base-then-attention order on every path so the
-            // float summation is reproducible, then draw the step's single
-            // noise sample.
-            let mut step_det = base_det;
-            step_det.merge(&ctx_det);
-            let gpu_step = self.gpu.perturb_phase(&step_det);
-            // Un-overlapped host time shows up as idle-power gaps between
-            // steps; fold it into the phase so TBT and power averages match
-            // what an external power meter would see.
-            let mut step = gpu_step;
-            step.merge(&idle_gap(host_per_step, idle_w));
-            trace.push(TbtSample {
-                ctx,
-                tbt_s: step.latency_s,
-            });
-            let span = step.latency_s * chunk as f64;
-            if throttled {
-                self.counters.throttled_phases += 1;
-                throttled_s += span;
-            }
-            decode.merge(&step.repeated(chunk));
-            let (n_stalls, stall_s) = self
-                .fault_index
-                .stalls_in(t0 + elapsed, t0 + elapsed + span);
-            if n_stalls > 0 {
-                self.counters.stalls += n_stalls as u64;
-                if stall_s > 0.0 {
-                    decode.merge(&idle_gap(stall_s, idle_w));
-                }
-            }
-            elapsed += span + stall_s;
-            produced += chunk;
-        }
-        for s in seqs {
-            kv.release(s)?;
-        }
-
-        Ok(self
-            .finalize_parts(
-                model,
-                prec,
-                req.batch,
-                req.prompt_tokens,
-                req.max_new_tokens,
-                prefill,
-                decode,
-                trace.into_vec(),
-                0,
-                0,
-                throttled_s,
-            )
-            .0)
-    }
-
-    /// vLLM-style recompute preemption. Sequences run as "cohorts" sharing
-    /// a progress point; when the KV cache cannot grow every live sequence,
-    /// tail sequences are evicted (their blocks freed, their progress
-    /// remembered) and requeued. A requeued cohort pays a batch-1
-    /// prefill-shaped pass per sequence to rebuild its lost context before
-    /// resuming decode. Termination is guaranteed by the admission check:
-    /// a single sequence always fits end to end, so every cohort completes
-    /// at least one sequence.
-    fn run_preempt_recompute(
-        &mut self,
-        model: ModelId,
-        prec: Precision,
-        req: &GenerationRequest,
-    ) -> Result<InferenceOutcome, EngineError> {
-        let arch = model.arch();
-        let cache_bytes = self.kv_budget_bytes(model, prec)?;
-        let mut kv = KvCacheManager::new(&arch, cache_bytes, self.config.kv_block_tokens)?;
-        let total_tokens = req.prompt_tokens + req.max_new_tokens;
-        // Even a lone sequence must fit end to end, else no amount of
-        // preemption can ever complete the request.
-        if !kv.would_fit(1, total_tokens) {
-            return Err(oom_error(&kv, req));
-        }
-
-        let arch_fp = arch.fingerprint();
-        let mk_key = |gpu_fp: u64, kind: PhaseKind, batch: usize, shape: usize| PhaseKey {
-            arch_fp,
-            gpu_fp,
-            precision: prec,
-            kind,
-            batch,
-            shape,
-        };
-        let t0 = self.clock_s;
-        let mut elapsed = 0.0f64;
-        let mut throttled_s = 0.0f64;
-        let idle_w = self.gpu.power_model().idle_w;
-        let mut prefill = PhaseStats::default();
-        let mut decode = PhaseStats::default();
-        let mut trace = TraceRec::new(self.config.tbt_trace_cap);
-        let mut preemptions = 0usize;
-        let mut recomputed_tokens = 0usize;
-        let mut first_cohort = true;
-        // (gpu_fp, batch) -> context-independent decode base aggregate.
-        let mut base_cache: Option<(u64, usize, PhaseStats)> = None;
-
-        // Cohorts of (sequence count, tokens already produced).
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-        queue.push_back((req.batch, 0));
-
-        while let Some((mut count, produced0)) = queue.pop_front() {
-            // Coalesce cohorts at the same progress point into one batch.
-            while let Some(&(c, p)) = queue.front() {
-                if p != produced0 {
-                    break;
-                }
-                count += c;
-                queue.pop_front();
-            }
-            let ctx0 = req.prompt_tokens + produced0;
-            // Admit as many sequences as currently fit; the rest wait.
-            let mut live: Vec<SeqId> = Vec::with_capacity(count);
-            for i in 0..count {
-                match kv.allocate(ctx0) {
-                    Some(id) => live.push(id),
-                    None => {
-                        queue.push_back((count - i, produced0));
-                        break;
-                    }
-                }
-            }
-            if live.is_empty() {
-                // Unreachable (the cache is empty at cohort start and one
-                // sequence always fits) — but never spin on it.
-                return Err(oom_error(&kv, req));
-            }
-
-            // Prefill (first cohort) or context recomputation (requeued
-            // cohorts): recompute is charged as a batch-1 prefill over the
-            // whole lost context, once per recovered sequence.
-            let throttled = self.apply_faults_at(t0 + elapsed);
-            let gpu_fp = self.gpu.config_fingerprint();
-            if first_cohort {
-                first_cohort = false;
-                let det = self.deterministic_phase(
-                    mk_key(gpu_fp, PhaseKind::Prefill, 1, req.prompt_tokens),
-                    &arch.calib.prefill,
-                    |plan| build_prefill_into(plan, &arch, prec, 1, req.prompt_tokens),
-                );
-                prefill = self.gpu.perturb_phase(&det);
-                if throttled {
-                    self.counters.throttled_phases += 1;
-                    throttled_s += prefill.latency_s;
-                }
-                elapsed += prefill.latency_s;
-            } else {
-                let det = self.deterministic_phase(
-                    mk_key(gpu_fp, PhaseKind::Prefill, 1, ctx0),
-                    &arch.calib.prefill,
-                    |plan| build_prefill_into(plan, &arch, prec, 1, ctx0),
-                );
-                let recompute = self.gpu.perturb_phase(&det).repeated(live.len());
-                if throttled {
-                    self.counters.throttled_phases += 1;
-                    throttled_s += recompute.latency_s;
-                }
-                recomputed_tokens += ctx0 * live.len();
-                self.counters.recomputed_tokens += (ctx0 * live.len()) as u64;
-                if recompute.latency_s > 0.0 {
-                    decode.merge(&recompute);
-                }
-                elapsed += recompute.latency_s;
-            }
-
-            let mut produced = produced0;
-            while produced < req.max_new_tokens {
-                let chunk = self.config.decode_chunk.min(req.max_new_tokens - produced);
-                let ctx = req.prompt_tokens + produced + chunk / 2;
-                let target = req.prompt_tokens + produced + chunk;
-                // Grow every live sequence; under pressure, evict tail
-                // victims back onto the queue (vLLM recompute preemption).
-                let mut idx = 0;
-                while idx < live.len() {
-                    if kv.grow(live[idx], target)? {
-                        idx += 1;
-                        continue;
-                    }
-                    if live.len() == 1 {
-                        // Unreachable per the admission invariant.
-                        return Err(oom_error(&kv, req));
-                    }
-                    if let Some(victim) = live.pop() {
-                        kv.release(victim)?;
-                        queue.push_back((1, produced));
-                        preemptions += 1;
-                        self.counters.preemptions += 1;
-                    }
-                }
-                let batch = live.len();
-                let host_per_step =
-                    self.config.host_per_step_s + self.config.host_per_seq_step_s * batch as f64;
-                let throttled = self.apply_faults_at(t0 + elapsed);
-                let gpu_fp = self.gpu.config_fingerprint();
-                let base_det = match base_cache {
-                    Some((fp, b, stats)) if fp == gpu_fp && b == batch => stats,
-                    _ => {
-                        let stats = self.deterministic_phase(
-                            mk_key(gpu_fp, PhaseKind::DecodeBase, batch, 0),
-                            &arch.calib.decode,
-                            |plan| build_decode_base_into(plan, &arch, prec, batch),
-                        );
-                        base_cache = Some((gpu_fp, batch, stats));
-                        stats
-                    }
-                };
-                let ctx_det = self.deterministic_phase(
-                    mk_key(gpu_fp, PhaseKind::DecodeCtx, batch, ctx),
-                    &arch.calib.decode,
-                    |plan| build_decode_attn_into(plan, &arch, prec, batch, ctx),
-                );
-                let mut step_det = base_det;
-                step_det.merge(&ctx_det);
-                let gpu_step = self.gpu.perturb_phase(&step_det);
-                let mut step = gpu_step;
-                step.merge(&idle_gap(host_per_step, idle_w));
-                trace.push(TbtSample {
-                    ctx,
-                    tbt_s: step.latency_s,
-                });
-                let span = step.latency_s * chunk as f64;
-                if throttled {
-                    self.counters.throttled_phases += 1;
-                    throttled_s += span;
-                }
-                decode.merge(&step.repeated(chunk));
-                let (n_stalls, stall_s) = self
-                    .fault_index
-                    .stalls_in(t0 + elapsed, t0 + elapsed + span);
-                if n_stalls > 0 {
-                    self.counters.stalls += n_stalls as u64;
-                    if stall_s > 0.0 {
-                        decode.merge(&idle_gap(stall_s, idle_w));
-                    }
-                }
-                elapsed += span + stall_s;
-                produced += chunk;
-            }
-            for s in live {
-                kv.release(s)?;
-            }
-        }
-
-        Ok(self
-            .finalize_parts(
-                model,
-                prec,
-                req.batch,
-                req.prompt_tokens,
-                req.max_new_tokens,
-                prefill,
-                decode,
-                trace.into_vec(),
-                preemptions,
-                recomputed_tokens,
-                throttled_s,
-            )
-            .0)
-    }
-
-    /// Shared run tail: one run-level jitter draw, the DVFS power ramp, and
-    /// outcome assembly. Identical float operations to the pre-fault engine.
-    /// Also returns the jitter factor so incremental callers (the stepper)
-    /// can scale their own wall-clock bookkeeping by the same draw.
+    /// The run tail of every generation, called by the stepper as each slot
+    /// retires: one run-level jitter draw, the DVFS power ramp, and outcome
+    /// assembly. Also returns the jitter factor so the stepper can scale the
+    /// slot's wait by the same draw.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finalize_parts(
         &mut self,
@@ -972,25 +617,6 @@ impl InferenceEngine {
             ..PhaseStats::default()
         });
         step
-    }
-}
-
-/// The out-of-memory error for a request against the current cache state.
-pub(crate) fn oom_error(kv: &KvCacheManager, req: &GenerationRequest) -> EngineError {
-    EngineError::OutOfMemory {
-        needed: kv.bytes_per_token()
-            * (req.batch * (req.prompt_tokens + req.max_new_tokens)) as u64,
-        available: kv.free_tokens() * kv.bytes_per_token(),
-    }
-}
-
-/// An idle-power gap of `latency_s` seconds (host work, kernel stalls).
-pub(crate) fn idle_gap(latency_s: f64, idle_w: f64) -> PhaseStats {
-    PhaseStats {
-        latency_s,
-        energy_j: latency_s * idle_w,
-        avg_power_w: idle_w,
-        ..PhaseStats::default()
     }
 }
 
@@ -1348,36 +974,92 @@ mod tests {
 
     #[test]
     fn kernel_stall_inserts_idle_time() {
-        let req = GenerationRequest::new(256, 256);
-        let mut base = InferenceEngine::new(EngineConfig::vllm(), 5);
-        let clean = base
-            .run(ModelId::Dsr1Qwen1_5b, Precision::Fp16, &req)
-            .expect("fits");
-        let mut faulted = InferenceEngine::new(EngineConfig::vllm(), 5);
-        faulted.set_fault_schedule(FaultSchedule::from_events(vec![Disturbance {
-            start_s: 0.5,
-            duration_s: 2.0,
-            kind: FaultKind::KernelStall,
-        }]));
-        let stalled = faulted
-            .run(ModelId::Dsr1Qwen1_5b, Precision::Fp16, &req)
-            .expect("fits");
-        let extra = stalled.total_latency_s() - clean.total_latency_s();
-        assert!(
-            (extra - 2.0).abs() < 0.2,
-            "a 2 s stall must add ~2 s: added {extra}"
-        );
-        assert_eq!(faulted.counters().stalls, 1);
-        assert!(stalled.total_energy_j() > clean.total_energy_j());
+        // A stall is charged by the busy segment it starts in, whichever
+        // that is: the prompt prefill (t = 0), a decode step, or a context
+        // recomputation after a preemption (3.53 s into the pressured
+        // run, which takes 6.82 s and preempts twice).
+        let single = GenerationRequest::new(256, 256);
+        let crowded = GenerationRequest::new(128, 128).with_batch(8);
+        let mut cases = Vec::new();
+        for policy in [OomPolicy::FailFast, OomPolicy::PreemptRecompute] {
+            for start_s in [0.0, 0.5] {
+                cases.push((
+                    EngineConfig::vllm().with_oom_policy(policy),
+                    single,
+                    start_s,
+                ));
+            }
+        }
+        for start_s in [3.53, 1.0] {
+            let config = EngineConfig::vllm().with_oom_policy(OomPolicy::PreemptRecompute);
+            let config = with_kv_tokens(config, ModelId::Dsr1Qwen1_5b, 1600);
+            cases.push((config, crowded, start_s));
+        }
+        for (config, req, start_s) in cases {
+            let case = format!("{} stall at {start_s} s", config.oom_policy);
+            let clean = InferenceEngine::new(config.clone(), 5)
+                .run(ModelId::Dsr1Qwen1_5b, Precision::Fp16, &req)
+                .expect("fits");
+            let mut faulted = InferenceEngine::new(config, 5);
+            faulted.set_fault_schedule(FaultSchedule::from_events(vec![Disturbance {
+                start_s,
+                duration_s: 2.0,
+                kind: FaultKind::KernelStall,
+            }]));
+            let stalled = faulted
+                .run(ModelId::Dsr1Qwen1_5b, Precision::Fp16, &req)
+                .expect("fits");
+            let extra = stalled.total_latency_s() - clean.total_latency_s();
+            assert!(
+                (extra - 2.0).abs() < 0.2,
+                "{case}: a 2 s stall must add ~2 s: added {extra}"
+            );
+            assert_eq!(faulted.counters().stalls, 1, "{case}");
+            assert!(stalled.total_energy_j() > clean.total_energy_j(), "{case}");
+        }
+
+        // The golden `run` cells this rule moved (`tests/run_regression.rs`,
+        // column 6 of rows 2 and 12): recompute preemption under dense
+        // weather, pinned by the grid's fingerprint of two back-to-back runs
+        // and the engine counters.
+        for (kind, model, seed, want) in [
+            (
+                EngineKind::TrtLlm,
+                ModelId::Dsr1Qwen1_5b,
+                21,
+                0xbf76_d28a_7912_4989,
+            ),
+            (
+                EngineKind::Vllm,
+                ModelId::Dsr1Qwen14b,
+                91,
+                0x4b3a_0dec_f409_1229,
+            ),
+        ] {
+            let config = EngineConfig::for_kind(kind).with_oom_policy(OomPolicy::PreemptRecompute);
+            let mut e = InferenceEngine::new(with_kv_tokens(config, model, 1600), seed);
+            e.set_fault_schedule(FaultSchedule::generate(seed ^ 0xfa, 20.0, 4000.0));
+            e.set_clock_s(60.0 + 29.0 * seed as f64);
+            let req = GenerationRequest::new(200, 180).with_batch(6);
+            let first = e.run(model, Precision::Fp16, &req);
+            let second = e.run(model, Precision::Fp16, &req);
+            let got = crate::fingerprint(&(first, second, e.counters()));
+            assert_eq!(got, want, "{kind} {model} seed {seed}");
+        }
     }
 
-    /// An engine whose KV budget holds `kv_tokens` tokens beyond weights.
-    fn pressured(policy: OomPolicy, kv_tokens: u64) -> InferenceEngine {
-        let mut config = EngineConfig::vllm().with_oom_policy(policy);
-        let arch = ModelId::Dsr1Qwen1_5b.arch();
+    /// `config` with a memory budget that holds `kv_tokens` FP16 KV-cache
+    /// tokens of `model` beyond its weights.
+    fn with_kv_tokens(mut config: EngineConfig, model: ModelId, kv_tokens: u64) -> EngineConfig {
+        let arch = model.arch();
         let budget = arch.weight_bytes(Precision::Fp16) + kv_tokens * arch.kv_bytes_per_token();
         config.memory_budget_frac = budget as f64 / config.soc.gpu.dram_capacity as f64;
-        InferenceEngine::new(config, 3)
+        config
+    }
+
+    fn pressured(policy: OomPolicy, kv_tokens: u64) -> InferenceEngine {
+        let config = EngineConfig::vllm().with_oom_policy(policy);
+        InferenceEngine::new(with_kv_tokens(config, ModelId::Dsr1Qwen1_5b, kv_tokens), 3)
     }
 
     #[test]
@@ -1423,12 +1105,10 @@ mod tests {
         let b = pr
             .run(ModelId::Dsr1Qwen1_5b, Precision::Fp16, &req)
             .expect("fits");
-        assert_eq!(a.generated_tokens, b.generated_tokens);
         assert_eq!(b.preemptions, 0);
         assert_eq!(b.recomputed_tokens, 0);
-        // Phase aggregates agree closely (the preempting scheduler books
-        // per-cohort prefill but identical decode work).
-        let rel = (b.total_latency_s() / a.total_latency_s() - 1.0).abs();
-        assert!(rel < 0.05, "policies should agree without pressure: {rel}");
+        // One execution path: without pressure, both policies run the same
+        // phases bit for bit.
+        assert_eq!(a, b, "policies must agree without pressure");
     }
 }

@@ -16,6 +16,10 @@
 //!   decode (chunked autoregressive steps whose context grows token by
 //!   token), returning per-phase latency/energy/power/utilization
 //!   telemetry ([`outcome::InferenceOutcome`]).
+//! * [`stepper::BatchStepper`] — the one execution path: a standalone
+//!   [`InferenceEngine::run`](engine::InferenceEngine::run) is one drained
+//!   admission into it, and the serving schedulers drive it at
+//!   decode-iteration granularity.
 //! * Parallel test-time scaling (§V-E): prefill once at batch 1, decode at
 //!   batch = scaling factor, with per-sequence host-side sampling overhead
 //!   — reproducing the paper's Fig. 10 latency/power/energy behaviour.
@@ -52,6 +56,18 @@ pub(crate) mod alloc_counter;
 #[cfg(test)]
 #[global_allocator]
 static COUNTING_ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+
+/// FNV-1a over a value's `Debug` rendering, the golden-fingerprint idiom of
+/// the regression suites: `Debug` prints every field and floats in
+/// shortest round-trip form, so equal hashes mean bit-identical values.
+#[cfg(test)]
+pub(crate) fn fingerprint<T: std::fmt::Debug>(value: &T) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
 
 pub mod arrivals;
 pub mod audit;

@@ -1,24 +1,27 @@
-//! Incremental (iteration-level) batching: the continuous-batching core.
+//! Incremental (iteration-level) batching: the engine's one execution path.
 //!
-//! [`BatchStepper`] decomposes [`InferenceEngine::run`] into schedulable
-//! operations — [`admit`](BatchStepper::admit) prefills a new request into
-//! the *running* mixed-context batch, [`step`](BatchStepper::step) decodes
-//! one chunk for every live sequence and retires the finished ones — so a
-//! serving scheduler can add work at iteration granularity instead of
-//! waiting for a whole static batch to drain (vLLM's continuous batching).
+//! [`BatchStepper`] runs generations as schedulable operations —
+//! [`admit`](BatchStepper::admit) prefills a new request into the *running*
+//! mixed-context batch, [`step`](BatchStepper::step) decodes one chunk for
+//! every live sequence and retires the finished ones — so a serving
+//! scheduler can add work at iteration granularity instead of waiting for a
+//! whole static batch to drain (vLLM's continuous batching).
 //!
-//! # Bit-exactness contract
+//! # `run` is one drained admission
 //!
-//! The stepper reuses the engine's phase machinery unchanged: deterministic
-//! roofline aggregates memoized in the [`PhasePlanCache`]
-//! (crate::plan_cache), *exactly one* stochastic perturbation draw per
-//! phase, the decode-base memo, fault/derate hooks on the simulated wall
-//! clock, and the shared [`finalize_parts`](InferenceEngine) run tail.
-//! When the queue is drained — every admission happens while the stepper is
-//! empty, so batches never actually interleave — the sequence of phase
-//! keys, float operations and RNG draws is identical to the static
-//! [`InferenceEngine::run`] loop under [`OomPolicy::FailFast`], and the
-//! produced [`InferenceOutcome`]s are bit-identical (see DESIGN.md §9).
+//! [`InferenceEngine::run`] admits its request into a fresh stepper at the
+//! engine's clock and steps until it retires, so standalone generations,
+//! the static serving loop and the continuous schedulers execute the same
+//! code. The stepper drives the engine's phase machinery: deterministic
+//! roofline aggregates memoized in the
+//! [`PhasePlanCache`](crate::plan_cache::PhasePlanCache), *exactly one*
+//! stochastic perturbation draw per phase, the decode-base memo,
+//! fault/derate hooks on the simulated wall clock, governor feeding, and
+//! the shared [`finalize_parts`](InferenceEngine) run tail. When the queue
+//! is drained — every admission happens while the stepper is empty, so
+//! batches never actually interleave — each request's phase keys, float
+//! operations and RNG draws are those of its own `run`, and the produced
+//! [`InferenceOutcome`]s are bit-identical (see DESIGN.md §9).
 //!
 //! When several admissions *do* overlap, each decode iteration runs the
 //! union batch: one context-independent base aggregate for the whole
@@ -36,7 +39,7 @@ use edgereasoning_kernels::phases::{
 };
 use edgereasoning_soc::gpu::PhaseStats;
 
-use crate::engine::{idle_gap, oom_error, InferenceEngine, OomPolicy};
+use crate::engine::{InferenceEngine, OomPolicy};
 use crate::kv_cache::{KvCacheManager, SeqId};
 use crate::outcome::{InferenceOutcome, TbtSample, TraceRec};
 use crate::plan_cache::{PhaseKey, PhaseKind};
@@ -146,7 +149,8 @@ struct WaitEntry {
 ///
 /// One stepper serves one `(model, precision)` pair and owns the paged KV
 /// cache for it; the [`InferenceEngine`] is passed into each call so its
-/// plan cache, RNG streams and counters stay shared with static runs.
+/// plan cache, RNG streams and counters stay shared with the engine's
+/// other runs.
 #[derive(Debug, Clone)]
 pub struct BatchStepper {
     model: ModelId,
@@ -389,7 +393,7 @@ impl BatchStepper {
     ///
     /// Under [`OomPolicy::FailFast`] the whole request (prompt + full
     /// output growth, plus the outstanding growth of everything already
-    /// admitted) is reserved up front, exactly like the static path; under
+    /// admitted) is reserved up front; under
     /// [`OomPolicy::PreemptRecompute`] only end-to-end feasibility of a
     /// single sequence is required and unplaceable sequences wait.
     ///
@@ -451,8 +455,8 @@ impl BatchStepper {
         let mut cached_tokens = 0usize;
         let mut prefix_path = None;
         if share_limit == 0 {
-            // Admission feasibility, mirroring the static paths bit-for-bit
-            // in the drained (empty-stepper) case.
+            // Admission feasibility: FailFast reserves every sequence's
+            // whole growth; PreemptRecompute needs one sequence to fit.
             match policy {
                 OomPolicy::FailFast => {
                     let need = self.kv.blocks_needed(total_tokens) * req.batch as u64;
@@ -568,17 +572,7 @@ impl BatchStepper {
                 engine.counters_mut().throttled_phases += 1;
                 slot.throttled_s += prefill.latency_s;
             }
-            if policy == OomPolicy::FailFast {
-                // The static FailFast path folds kernel stalls into the
-                // prefill phase; the preempt path does not. Mirror both.
-                let (n_stalls, stall_s) = engine.stalls_in(t, t + prefill.latency_s);
-                if n_stalls > 0 {
-                    engine.counters_mut().stalls += n_stalls as u64;
-                    if stall_s > 0.0 {
-                        prefill.merge(&idle_gap(stall_s, engine.idle_w()));
-                    }
-                }
-            }
+            fold_stalls(engine, t, &mut prefill);
             slot.prefill = prefill;
             slot.prefilled = true;
             busy = prefill.latency_s;
@@ -611,9 +605,8 @@ impl BatchStepper {
     }
 
     /// Re-places waiting (preempted or never-placed) groups whose slot has
-    /// no live cohort — the static preempt path's "next cohort starts when
-    /// the previous one drains" order — charging their context
-    /// recomputation as the static path does.
+    /// no live cohort — a slot's next cohort starts when its previous one
+    /// drains — charging their context recomputation.
     fn readmit_waiting(&mut self, engine: &mut InferenceEngine) -> Result<(), EngineError> {
         if self.waiting.is_empty() {
             // Hot path: nothing preempted, nothing to place.
@@ -633,8 +626,8 @@ impl BatchStepper {
             })
             .collect();
         for slot_idx in eligible {
-            // Pop this slot's front run of same-progress entries (the
-            // static queue's adjacent-cohort coalescing).
+            // Pop this slot's front run of same-progress entries: adjacent
+            // cohorts at one progress point coalesce into one batch.
             let Some(first) = self.waiting.iter().position(|w| w.slot == slot_idx) else {
                 continue;
             };
@@ -704,12 +697,13 @@ impl BatchStepper {
                     &arch.calib.prefill,
                     |plan| build_prefill_into(plan, arch, prec, 1, suffix_tokens),
                 );
-                let prefill = engine.perturb(&det);
+                let mut prefill = engine.perturb(&det);
                 if let Some(s) = self.slots[slot_idx].as_mut() {
                     if throttled {
                         engine.counters_mut().throttled_phases += 1;
                         s.throttled_s += prefill.latency_s;
                     }
+                    fold_stalls(engine, t, &mut prefill);
                     s.prefill = prefill;
                     s.prefilled = true;
                 }
@@ -726,7 +720,7 @@ impl BatchStepper {
                     &arch.calib.prefill,
                     |plan| build_prefill_into(plan, arch, prec, 1, lost),
                 );
-                let recompute = engine.perturb(&det).repeated(seqs.len());
+                let mut recompute = engine.perturb(&det).repeated(seqs.len());
                 let recovered = lost * seqs.len();
                 engine.counters_mut().recomputed_tokens += recovered as u64;
                 if throttled {
@@ -736,6 +730,7 @@ impl BatchStepper {
                     if throttled {
                         s.throttled_s += recompute.latency_s;
                     }
+                    fold_stalls(engine, t, &mut recompute);
                     s.recomputed_tokens += recovered;
                     if recompute.latency_s > 0.0 {
                         s.decode.merge(&recompute);
@@ -927,10 +922,7 @@ impl BatchStepper {
         if throttled {
             engine.counters_mut().throttled_phases += 1;
         }
-        let (n_stalls, stall_s) = engine.stalls_in(self.clock, self.clock + span);
-        if n_stalls > 0 {
-            engine.counters_mut().stalls += n_stalls as u64;
-        }
+        let stall_s = engine.charge_stalls(self.clock, self.clock + span);
 
         // Attribute the iteration to the participating slots.
         let m = self.cohorts.len();
@@ -938,7 +930,8 @@ impl BatchStepper {
         slot_share.clear();
         slot_share.resize(self.slots.len(), 0.0);
         if m == 1 {
-            // Single cohort: identical float operations to the static loop.
+            // Single cohort (every step of a drained run): the slot takes
+            // the whole iteration, unsplit.
             let (ctx, _) = ctx_dets[0];
             let slot_idx = self.cohorts[0].slot;
             if let Some(s) = self.slots[slot_idx].as_mut() {
@@ -1170,6 +1163,37 @@ impl BatchStepper {
     }
 }
 
+/// The out-of-memory error for a request against the current cache state.
+fn oom_error(kv: &KvCacheManager, req: &GenerationRequest) -> EngineError {
+    EngineError::OutOfMemory {
+        needed: kv.bytes_per_token()
+            * (req.batch * (req.prompt_tokens + req.max_new_tokens)) as u64,
+        available: kv.free_tokens() * kv.bytes_per_token(),
+    }
+}
+
+/// An idle-power gap of `latency_s` seconds (host work, kernel stalls).
+fn idle_gap(latency_s: f64, idle_w: f64) -> PhaseStats {
+    PhaseStats {
+        latency_s,
+        energy_j: latency_s * idle_w,
+        avg_power_w: idle_w,
+        ..PhaseStats::default()
+    }
+}
+
+/// Folds the kernel stalls that start inside the busy segment `phase`
+/// occupies from `t` into it, as idle-power time. Every busy segment
+/// charges the stalls that start inside it: the admission prefill, a
+/// readmission prefill or recompute pass (here) and a decode step (split
+/// across its cohorts in [`BatchStepper::step`]).
+fn fold_stalls(engine: &mut InferenceEngine, t: f64, phase: &mut PhaseStats) {
+    let stall_s = engine.charge_stalls(t, t + phase.latency_s);
+    if stall_s > 0.0 {
+        phase.merge(&idle_gap(stall_s, engine.idle_w()));
+    }
+}
+
 /// Scales a phase's extensive quantities (latency, energy, kernel count) by
 /// `frac`, keeping the intensive ones (powers, utilizations).
 fn scaled(p: &PhaseStats, frac: f64) -> PhaseStats {
@@ -1190,15 +1214,12 @@ mod tests {
         InferenceEngine::new(EngineConfig::vllm(), seed)
     }
 
+    /// A drained admission produces exactly the outcome the deleted static
+    /// generation loop produced for this request (its golden fingerprint),
+    /// with no wait and every KV block returned.
     #[test]
-    fn drained_stepper_is_bit_identical_to_static_run() {
+    fn drained_stepper_matches_the_golden_run() {
         let req = GenerationRequest::new(256, 200).with_batch(3);
-        let mut static_engine = engine(17);
-        static_engine.set_clock_s(42.0);
-        let want = static_engine
-            .run(ModelId::Dsr1Qwen1_5b, Precision::Fp16, &req)
-            .expect("fits");
-
         let mut e = engine(17);
         let mut stepper =
             BatchStepper::new(&e, ModelId::Dsr1Qwen1_5b, Precision::Fp16).expect("weights fit");
@@ -1212,11 +1233,8 @@ mod tests {
                 got = Some(f.outcome);
             }
         }
-        assert_eq!(
-            got.expect("retired"),
-            want,
-            "must match the static loop bit-for-bit"
-        );
+        let outcome = got.expect("retired");
+        assert_eq!(crate::fingerprint(&outcome), 0x0ce7_a547_cd67_29cc);
         assert!(!stepper.is_busy());
         assert_eq!(stepper.kv_free_tokens(), stepper.kv_capacity_tokens());
     }
@@ -1224,8 +1242,8 @@ mod tests {
     #[test]
     fn sequential_drained_runs_match_static_sequence() {
         // Several back-to-back drained admissions reuse one stepper (and
-        // its KV manager + base memo) and must still match the static
-        // engine run-for-run.
+        // its KV manager + base memo) and must still match, run for run,
+        // the fresh stepper that each `InferenceEngine::run` builds.
         let reqs = [
             GenerationRequest::new(128, 96).with_batch(2),
             GenerationRequest::new(256, 144),

@@ -229,17 +229,42 @@ fn single_device_wall_clock_is_the_one_replica_fleets_under_preemption() {
 
 #[test]
 fn drained_des_matches_static_oracle() {
-    let cfg = ServingConfig::new(1e-4, 8, 24, 128, 128);
-    let mut se = engine();
-    let rs = simulate_serving(&mut se, ModelId::Dsr1Qwen1_5b, Precision::Fp16, &cfg, 7)
-        .expect("static runs");
-    let mut ce = engine();
-    let rc = simulate_serving_continuous(&mut ce, ModelId::Dsr1Qwen1_5b, Precision::Fp16, &cfg, 7)
-        .expect("continuous runs");
-    assert_eq!(
-        rs, rc,
-        "drained DES continuous must equal the static oracle"
-    );
+    // The second input is a governed device whose long batches heat the die
+    // past its trip point: standalone runs must feed the governor the
+    // energy they draw, so both schedulers throttle alike.
+    let cases = [
+        (
+            ModelId::Dsr1Qwen1_5b,
+            EngineConfig::vllm(),
+            ServingConfig::new(1e-4, 8, 24, 128, 128),
+            [7].as_slice(),
+        ),
+        (
+            ModelId::Dsr1Llama8b,
+            EngineConfig::vllm().with_governance(hot_governor()),
+            ServingConfig::new(1e-8, 4, 3, 512, 1024),
+            [1, 2, 3].as_slice(),
+        ),
+    ];
+    for (model, engine_cfg, cfg, seeds) in cases {
+        for &seed in seeds {
+            let mut se = InferenceEngine::new(engine_cfg.clone(), 3);
+            let rs =
+                simulate_serving(&mut se, model, Precision::Fp16, &cfg, seed).expect("static runs");
+            let mut ce = InferenceEngine::new(engine_cfg.clone(), 3);
+            let rc = simulate_serving_continuous(&mut ce, model, Precision::Fp16, &cfg, seed)
+                .expect("continuous runs");
+            assert_eq!(
+                rs, rc,
+                "{model} seed {seed}: drained DES continuous must equal the static oracle"
+            );
+            let governance = se.governance_stats();
+            assert_eq!(governance, ce.governance_stats(), "{model} seed {seed}");
+            if let Some(g) = governance {
+                assert!(g.throttle_steps > 0, "seed {seed}: must throttle: {g:?}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -365,6 +390,19 @@ const GOLDEN_PROCESSES: [ArrivalProcess; 4] = [
     },
 ];
 
+/// A governor with a small thermal mass and a 42 °C trip point, so a few
+/// minutes of decode throttle the die.
+fn hot_governor() -> GovernanceConfig {
+    GovernanceConfig {
+        thermal: ThermalConfig {
+            c_j_per_c: 8.6,
+            ..ThermalConfig::default()
+        },
+        ..GovernanceConfig::default()
+    }
+    .with_trip(42.0, 38.0)
+}
+
 /// Engines of the single-device golden grid: plain, both memory-pressure
 /// policies, a thermal governor that throttles mid-run, and scripted
 /// fault weather.
@@ -373,17 +411,7 @@ fn golden_engine(variant: usize, seed: u64) -> InferenceEngine {
         0 => InferenceEngine::new(EngineConfig::vllm(), seed),
         1 => InferenceEngine::new(pressured(OomPolicy::FailFast, 1600), seed),
         2 => InferenceEngine::new(pressured(OomPolicy::PreemptRecompute, 1600), seed),
-        3 => {
-            let hot = GovernanceConfig {
-                thermal: ThermalConfig {
-                    c_j_per_c: 8.6,
-                    ..ThermalConfig::default()
-                },
-                ..GovernanceConfig::default()
-            }
-            .with_trip(42.0, 38.0);
-            InferenceEngine::new(EngineConfig::vllm().with_governance(hot), seed)
-        }
+        3 => InferenceEngine::new(EngineConfig::vllm().with_governance(hot_governor()), seed),
         _ => {
             let mut e = InferenceEngine::new(EngineConfig::vllm(), seed);
             e.set_fault_schedule(FaultSchedule::generate(seed ^ 0xfa, 2.0, 3600.0));
