@@ -2,13 +2,15 @@
 //! batching across arrival rate × model, under a per-query deadline.
 //!
 //! Each cell replays the same Poisson query stream (identical arrival RNG)
-//! through both schedulers on identically-seeded engines:
+//! through the one serving loop on identically-seeded engines, once under
+//! each of its two admission rules ([`SchedulerKind`]):
 //!
-//! * `static` — [`simulate_serving`]: admitted batches run to completion
-//!   before the next admission, so a query arriving just after a batch
-//!   starts waits out the whole batch service time.
-//! * `continuous` — [`simulate_serving_continuous`]: ready queries join
-//!   the running batch at the next decode-iteration boundary
+//! * `static` — gang scheduling: a busy device has no room, so admitted
+//!   batches run to completion before the next admission, and a query
+//!   arriving just after a batch starts waits out the whole batch service
+//!   time.
+//! * `continuous` — ready queries join the running batch at the next
+//!   decode-iteration boundary
 //!   ([`BatchStepper`](edgereasoning_engine::stepper::BatchStepper)).
 //!
 //! The headline: at moderate-to-high load the continuous scheduler

@@ -24,13 +24,15 @@
 //!   complete wins and the loser is cancelled with its accrued energy
 //!   still booked (a hedge's cost is real even when it loses).
 //!
-//! # One scheduler
+//! # One serving loop
 //!
 //! [`simulate_cluster`] builds each replica's engine and weather;
 //! `run_fleet`, the event loop over replicas that borrow their engines, is
-//! the only continuous scheduler. [`simulate_serving_continuous`] runs it
-//! over one calm replica on the caller's engine, so a single device and
+//! the only serving loop. [`simulate_serving_continuous`] runs it over one
+//! calm replica on the caller's engine, so a single device and
 //! `ClusterConfig::new(1, ..)` serve the same schedule by construction.
+//! [`simulate_serving`] runs the same replica under gang scheduling, an
+//! admission rule of the loop that gives a busy replica no room.
 //! [`simulate_serving_sessions`] runs it the same way on a queue of
 //! requests that carry their own shape; the queue's source type selects
 //! the own-shape admission rules at compile time (see `run_fleet`), so
@@ -41,13 +43,14 @@
 //!
 //! The simulation is a single-threaded discrete-event loop: at every
 //! iteration the replica with the earliest actionable instant executes one
-//! scheduling step of the continuous serving loop (ties break by health,
+//! scheduling step of the serving loop (ties break by health,
 //! then free KV tokens, then index). Each replica draws from its own RNG
 //! lanes — engine noise, disturbance weather and crash weather are all
 //! seeded per replica via `item_seed` — so reports are bit-identical
 //! across runs and across `par_map_deterministic` thread counts.
 //!
 //! [`simulate_serving_continuous`]: crate::serving::simulate_serving_continuous
+//! [`simulate_serving`]: crate::serving::simulate_serving
 //! [`simulate_serving_sessions`]: crate::session::simulate_serving_sessions
 
 use std::cmp::{Ordering, Reverse};
@@ -65,7 +68,7 @@ use crate::engine::{EngineConfig, InferenceEngine};
 use crate::request::GenerationRequest;
 use crate::serving::{
     effective_batch, effective_out_tokens, AdmissionPolicy, AdmissionState, ClassBreakdown,
-    ServingConfig, ServingReport, MAX_DEGRADE_LEVEL,
+    SchedulerKind, ServingConfig, ServingReport, MAX_DEGRADE_LEVEL,
 };
 use crate::stepper::{BatchStepper, SlotId};
 use crate::telemetry::{Distribution, Ewma, ServingAccumulator};
@@ -732,7 +735,7 @@ pub fn simulate_cluster(
         cfg.queries,
         seed,
     );
-    Ok(run_fleet(cluster, &mut reps, cfg, arrivals).report)
+    Ok(run_fleet(cluster, &mut reps, cfg, SchedulerKind::Continuous, arrivals).report)
 }
 
 /// What [`run_fleet`] returns: the fleet report, the offered count behind
@@ -770,15 +773,21 @@ fn shape<'a, S: Source>(
     }
 }
 
-/// The fleet event loop — the only continuous scheduler. `reps` serve the
+/// The fleet event loop — the only serving loop. `reps` serve the
 /// arrivals `pq` draws under the router policy in `cluster` (hedging,
 /// shared prefix, crash cold start); the caller has validated both configs
 /// and built each replica's weather.
 ///
 /// At every iteration the replica with the earliest actionable instant
 /// executes one scheduling step: outage or partition handling, then the
-/// continuous-batching boundary (idle jump → pump → deadline shed →
-/// capacity shed → aging shed → admission → hedge → step).
+/// batching boundary (idle jump → pump → deadline shed → capacity shed →
+/// aging shed → admission → hedge → step).
+///
+/// `kind` sets how much room a replica has at a boundary. Continuous
+/// batching fills the headroom its running batch leaves under the
+/// (possibly degraded) batch limit; gang scheduling admits only into an
+/// idle replica, so a busy one has no room and each batch runs to
+/// completion.
 ///
 /// The queue's source type selects the admission rules at compile time. A
 /// uniform stream admits groups of the config's request shape. Own-shape
@@ -792,6 +801,7 @@ pub(crate) fn run_fleet<S: Source>(
     cluster: &ClusterConfig,
     reps: &mut [Replica<'_>],
     cfg: &ServingConfig,
+    kind: SchedulerKind,
     mut pq: PendingQueue<S>,
 ) -> FleetRun {
     let n = reps.len();
@@ -1020,9 +1030,9 @@ pub(crate) fn run_fleet<S: Source>(
             }
         }
 
-        // From here on this is one iteration of the continuous serving
-        // loop, executed on replica `r` at instant `t_act` (the idle-jump
-        // is already folded into `t_act`).
+        // From here on this is one iteration of the serving loop, executed
+        // on replica `r` at instant `t_act` (the idle-jump is already
+        // folded into `t_act`).
         reps[r].clock = t_act;
         reps[r].served = reps[r].served.max(t_act);
         let now = t_act;
@@ -1064,11 +1074,15 @@ pub(crate) fn run_fleet<S: Source>(
             }
         }
 
-        // Iteration-level admission into this replica's headroom. An open
-        // breaker refuses new work (the running batch, if any, drains).
+        // Admission into this replica's headroom; gang scheduling leaves a
+        // busy replica none. An open breaker refuses new work (the running
+        // batch, if any, drains).
         let breaker_open = reps[r].breaker.as_ref().is_some_and(|b| b.is_open_at(now));
-        let eff_batch = effective_batch(cfg, reps[r].level);
-        let room = eff_batch.saturating_sub(reps[r].stepper.live_queries());
+        let room = if kind == SchedulerKind::Static && reps[r].stepper.is_busy() {
+            0
+        } else {
+            effective_batch(cfg, reps[r].level).saturating_sub(reps[r].stepper.live_queries())
+        };
         let mut slack_shed = 0usize;
         if room > 0 && !breaker_open {
             let room = if S::OWN_SHAPE { 1 } else { room };

@@ -1057,6 +1057,36 @@ mod tests {
         assert_eq!(q.live(), 0, "dropped slots are released");
     }
 
+    #[test]
+    fn deep_retry_chains_saturate_backoff_without_overflow() {
+        // `1u32 << exp` panics in debug builds once attempts reach 32; the
+        // exponent clamp must saturate the backoff instead.
+        let mut q = PendingQueue::new(ArrivalProcess::Poisson, 1.0, 1, 3);
+        let mut acc = ServingAccumulator::default();
+        q.pump(1e9);
+        let mut group = Vec::new();
+        q.collect_ready(1e9, 1, &mut group);
+        let now = 100.0;
+        let mut last_ready = 0.0;
+        for round in 0..64 {
+            q.requeue_failed(&group, now, 64, 0.5, &mut acc);
+            let ready = q.arena.get(group[0]).map_or(f64::NAN, |s| s.ready_s);
+            assert!(ready.is_finite(), "attempt {round}: finite backoff");
+            assert!(
+                ready >= last_ready,
+                "attempt {round}: backoff never shrinks"
+            );
+            last_ready = ready;
+        }
+        // Saturated: the clamped exponent flattens the last doublings.
+        assert_eq!(last_ready, now + 0.5 * f64::from(1u32 << 16));
+        assert_eq!(acc.retries, 64);
+        // The 65th failure exhausts the budget and drops the query.
+        q.requeue_failed(&group, now, 64, 0.5, &mut acc);
+        assert_eq!(acc.failed, 1);
+        assert!(q.is_exhausted());
+    }
+
     /// The allocation-budget invariant for DES dispatch (DESIGN.md §14):
     /// once the arena free list, deques and scratch buffers are warm, a
     /// full scheduling cycle — min_ready, pump, deadline/capacity sheds,

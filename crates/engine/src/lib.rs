@@ -80,7 +80,8 @@ pub mod plan_cache;
 pub mod prefix_cache;
 pub mod request;
 pub mod serving;
-pub mod serving_reference;
+#[cfg(test)]
+mod serving_reference;
 pub mod session;
 pub mod stepper;
 pub mod telemetry;
@@ -99,7 +100,6 @@ pub use serving::{
     AdmissionConfig, AdmissionPolicy, ClassBreakdown, ClassReport, Priority, PriorityMix,
     SchedulerKind, ServingConfig, ServingConfigError, ServingReport,
 };
-pub use serving_reference::simulate_serving_continuous_reference;
 pub use session::{
     simulate_serving_sessions, uniform_session_trace, SessionConfig, SessionReport, SessionRequest,
 };

@@ -7,27 +7,29 @@
 //! energy per query — quantifying how request rate turns into the batch-30
 //! cost advantage of Table III.
 //!
-//! Two schedulers are available ([`SchedulerKind`]):
+//! There is one serving loop: the device runs as the one calm replica of
+//! the fleet event loop in [`crate::cluster`], which steps the incremental
+//! [`BatchStepper`](crate::stepper::BatchStepper) one decode iteration at a
+//! time. [`SchedulerKind`] picks one of its two admission rules:
 //!
-//! * **Static** ([`simulate_serving`]) — gang scheduling: every admitted
-//!   batch runs to completion through [`InferenceEngine::run`] before the
-//!   next admission. This is the legacy loop, kept callable as the oracle.
+//! * **Static** ([`simulate_serving`]) — gang scheduling: a busy device
+//!   has no room, so every admitted batch runs to completion before the
+//!   next admission.
 //! * **Continuous** ([`simulate_serving_continuous`],
-//!   [`simulate_serving_traffic`]) — iteration-level batching over the
-//!   incremental [`BatchStepper`](crate::stepper::BatchStepper): new
+//!   [`simulate_serving_traffic`]) — iteration-level batching: new
 //!   queries join the running batch at the next decode-iteration boundary
-//!   instead of waiting for it to drain (vLLM's continuous batching). The
-//!   device runs as the one calm replica of the fleet event loop in
-//!   [`crate::cluster`]. With arrivals spaced past batch completion, the
-//!   continuous scheduler reproduces the static report bit-exactly (see
-//!   DESIGN.md §9).
+//!   instead of waiting for it to drain (vLLM's continuous batching).
 //!
-//! This module owns the policy both loops apply: the configs, the
+//! With arrivals spaced past batch completion the device is idle at every
+//! admission, so the two rules admit the same batches and produce the same
+//! report bit-exactly (see DESIGN.md §9).
+//!
+//! This module owns the policy the loop applies: the configs, the
 //! admission controller and the degradation ladder.
 //!
 //! # Degraded-mode serving
 //!
-//! Beyond the happy path, both loops support the robustness controls an
+//! Beyond the happy path, both rules support the robustness controls an
 //! edge deployment needs when the platform misbehaves (see `soc::faults`):
 //!
 //! * **deadlines** — queries that can no longer meet their deadline are
@@ -42,35 +44,34 @@
 //!   misses the loop first halves the admitted batch, then shrinks the
 //!   token budget, recovering level by level once conditions clear.
 //!
-//! Every control defaults *off*, in which case the static loop reduces
-//! bit-exactly to the original simulation.
+//! Every control defaults *off*. Under either rule the loop sheds at every
+//! scheduling boundary (each decode iteration while the device is busy)
+//! and moves the degradation level as each batch retires.
 
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
-use edgereasoning_soc::rng::Rng;
-use edgereasoning_soc::stats;
 use serde::{Deserialize, Serialize};
 
 use crate::arrivals::ArrivalProcess;
 use crate::cluster::{run_fleet, ClusterConfig, Replica};
 use crate::des::{PendingQueue, QKey, Source, Visit};
 use crate::engine::InferenceEngine;
-use crate::request::GenerationRequest;
-use crate::telemetry::{Ewma, ServingAccumulator};
+use crate::telemetry::Ewma;
 use crate::EngineError;
 
 /// Highest degradation-ladder level (batch shrink saturates at `2^-6`).
 pub(crate) const MAX_DEGRADE_LEVEL: u32 = 6;
 
-/// Which serving scheduler to simulate.
+/// Which admission rule the serving loop applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum SchedulerKind {
-    /// Gang scheduling: admitted batches run to completion (the legacy
-    /// loop and the oracle for the continuous path).
+    /// Gang scheduling: a busy device has no room, so admitted batches run
+    /// to completion before the next admission.
     #[default]
     Static,
-    /// Iteration-level (continuous) batching over
-    /// [`BatchStepper`](crate::stepper::BatchStepper).
+    /// Iteration-level (continuous) batching: queries join the running
+    /// [`BatchStepper`](crate::stepper::BatchStepper) batch at every
+    /// decode-iteration boundary.
     Continuous,
 }
 
@@ -562,92 +563,6 @@ impl PartialEq for ServingReport {
     }
 }
 
-/// Per-query scheduling state.
-pub(crate) struct QueryState {
-    pub(crate) arrival_s: f64,
-    pub(crate) ready_s: f64,
-    pub(crate) attempts: u32,
-}
-
-/// Poisson arrival stream shared by both schedulers (identical RNG use, so
-/// the two see the exact same offered load).
-pub(crate) fn poisson_arrivals(cfg: &ServingConfig, seed: u64) -> Vec<QueryState> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0x005e_5256);
-    let mut queries = Vec::with_capacity(cfg.queries);
-    let mut t = 0.0;
-    for _ in 0..cfg.queries {
-        t += -rng.next_f64().max(1e-12).ln() / cfg.arrival_qps;
-        queries.push(QueryState {
-            arrival_s: t,
-            ready_s: t,
-            attempts: 0,
-        });
-    }
-    queries
-}
-
-/// Stored-sample metric accumulators of the pre-DES reference loop
-/// ([`crate::serving_reference`]).
-#[derive(Default)]
-pub(crate) struct Accum {
-    pub(crate) latencies: Vec<f64>,
-    pub(crate) queue_waits: Vec<f64>,
-    pub(crate) energy: f64,
-    pub(crate) tokens: f64,
-    pub(crate) batches: Vec<f64>,
-    pub(crate) shed: usize,
-    pub(crate) failed: usize,
-    pub(crate) retries: usize,
-    pub(crate) preemptions: usize,
-    pub(crate) deadline_misses: usize,
-    pub(crate) degraded_s: f64,
-}
-
-impl Accum {
-    pub(crate) fn into_report(self, cfg: &ServingConfig, now: f64) -> ServingReport {
-        let completed = self.latencies.len();
-        let slo_attainment = if completed == 0 {
-            0.0
-        } else {
-            (completed - self.deadline_misses) as f64 / cfg.queries as f64
-        };
-        ServingReport {
-            completed,
-            achieved_qps: if now > 0.0 {
-                completed as f64 / now
-            } else {
-                0.0
-            },
-            avg_latency_s: stats::mean(&self.latencies).unwrap_or(0.0),
-            p50_latency_s: stats::percentile(&self.latencies, 50.0).unwrap_or(f64::NAN),
-            p95_latency_s: stats::percentile(&self.latencies, 95.0).unwrap_or(f64::NAN),
-            avg_batch: stats::mean(&self.batches).unwrap_or(0.0),
-            energy_per_query_j: if completed == 0 {
-                0.0
-            } else {
-                self.energy / completed as f64
-            },
-            wall_s: now,
-            total_tokens: self.tokens,
-            failed_queries: self.failed,
-            shed_queries: self.shed,
-            retries: self.retries,
-            preemptions: self.preemptions,
-            deadline_misses: self.deadline_misses,
-            deadline_miss_rate: if completed == 0 {
-                0.0
-            } else {
-                self.deadline_misses as f64 / completed as f64
-            },
-            p99_latency_s: stats::percentile(&self.latencies, 99.0).unwrap_or(f64::NAN),
-            degraded_s: self.degraded_s,
-            slo_attainment,
-            avg_queue_wait_s: stats::mean(&self.queue_waits).unwrap_or(0.0),
-            p99_queue_wait_s: stats::percentile(&self.queue_waits, 99.0).unwrap_or(f64::NAN),
-        }
-    }
-}
-
 /// Outcomes for one priority class. Counts reconcile with the flat
 /// [`ServingReport`]: summed over classes, `offered` equals the offered
 /// load and `completed`/`shed`/`failed` equal the report's totals.
@@ -916,51 +831,6 @@ impl AdmissionState {
     }
 }
 
-/// Re-inserts voided in-flight queries into the pending queue at their
-/// arrival-order positions (the queue is always sorted by query index,
-/// which is arrival order).
-pub(crate) fn restore_pending(pending: &mut Vec<usize>, members: &[usize]) {
-    for &i in members {
-        if let Err(pos) = pending.binary_search(&i) {
-            pending.insert(pos, i);
-        }
-    }
-}
-
-/// Requeues each member of a failed batch with exponential backoff, or
-/// drops it (counting it failed) once its retries are exhausted. The
-/// exponent is clamped so deep retry chains saturate the backoff instead
-/// of overflowing the `1u32 << exp` shift (debug builds panic at 32).
-pub(crate) fn retry_or_drop(
-    queries: &mut [QueryState],
-    pending: &mut Vec<usize>,
-    members: &[usize],
-    now: f64,
-    cfg: &ServingConfig,
-    retries: &mut usize,
-    failed: &mut usize,
-) {
-    for &i in members {
-        queries[i].attempts += 1;
-        if queries[i].attempts <= cfg.max_retries {
-            *retries += 1;
-            let exp = (queries[i].attempts - 1).min(16);
-            queries[i].ready_s = now + cfg.retry_backoff_s * f64::from(1u32 << exp);
-        }
-    }
-    pending.retain(|&i| {
-        if !members.contains(&i) {
-            return true;
-        }
-        if queries[i].attempts <= cfg.max_retries {
-            true
-        } else {
-            *failed += 1;
-            false
-        }
-    });
-}
-
 /// The effective admitted batch at the current degradation level.
 pub(crate) fn effective_batch(cfg: &ServingConfig, level: u32) -> usize {
     if cfg.degradation {
@@ -983,13 +853,25 @@ pub(crate) fn effective_out_tokens(cfg: &ServingConfig, level: u32) -> usize {
     }
 }
 
-/// Runs the serving simulation with the requested scheduler.
+/// Runs the serving simulation under the requested admission rule.
+///
+/// The device is served as a one-replica fleet: `engine` is the lone
+/// replica of the [`crate::cluster`] event loop, with no crash, partition
+/// or breaker weather, so a single device and
+/// `simulate_cluster(&ClusterConfig::new(1, ..), ..)` run the same code.
+/// `kind` only decides whether a busy device has room for more queries.
+/// Outages the engine raises itself still apply: a battery brown-out voids
+/// the in-flight work into the retry queue until the recharge model brings
+/// the device back, and a device with no recharge path strands its queue.
 ///
 /// # Errors
 ///
-/// Reports invalid configurations as [`EngineError::InvalidRequest`]; see
-/// [`simulate_serving`] and [`simulate_serving_continuous`] for the
-/// per-scheduler failure semantics.
+/// Reports invalid configurations as [`EngineError::InvalidRequest`],
+/// including priority admission under [`SchedulerKind::Static`], and
+/// propagates [`EngineError::OutOfMemory`] when the model's weights alone
+/// exceed the device budget. Failures mid-run never abort the simulation:
+/// the affected queries are retried (if `max_retries > 0`) or counted in
+/// [`ServingReport::failed_queries`], and all completed work is reported.
 pub fn simulate_serving_with(
     kind: SchedulerKind,
     engine: &mut InferenceEngine,
@@ -998,186 +880,8 @@ pub fn simulate_serving_with(
     cfg: &ServingConfig,
     seed: u64,
 ) -> Result<ServingReport, EngineError> {
-    match kind {
-        SchedulerKind::Static => simulate_serving(engine, model, prec, cfg, seed),
-        SchedulerKind::Continuous => simulate_serving_continuous(engine, model, prec, cfg, seed),
-    }
-}
-
-/// Runs the static (gang-scheduled) serving simulation.
-///
-/// # Errors
-///
-/// Reports invalid configurations as [`EngineError::InvalidRequest`].
-/// Engine failures mid-run no longer abort the simulation: the affected
-/// queries are retried (if `max_retries > 0`) or counted in
-/// [`ServingReport::failed_queries`], and all completed work is reported.
-pub fn simulate_serving(
-    engine: &mut InferenceEngine,
-    model: ModelId,
-    prec: Precision,
-    cfg: &ServingConfig,
-    seed: u64,
-) -> Result<ServingReport, EngineError> {
-    cfg.validate()
-        .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
-    if cfg.admission.is_some() {
-        return Err(EngineError::InvalidRequest(
-            "priority admission requires the continuous scheduler".into(),
-        ));
-    }
-    let mut queries = poisson_arrivals(cfg, seed);
-    let mut pending: Vec<usize> = (0..cfg.queries).collect();
-    let mut now = 0.0f64;
-    let mut level: u32 = 0; // degradation-ladder level
-    let mut acc = ServingAccumulator::default();
-
-    while !pending.is_empty() {
-        // Wait for work if idle: jump to the earliest ready instant.
-        let min_ready = pending
-            .iter()
-            .map(|&i| queries[i].ready_s)
-            .fold(f64::INFINITY, f64::min);
-        if now < min_ready {
-            now = min_ready;
-        }
-
-        // Deadline admission control: a query whose deadline has already
-        // passed cannot possibly complete on time — shed it rather than
-        // burn GPU time on it.
-        if let Some(d) = cfg.deadline_s {
-            let before = pending.len();
-            pending.retain(|&i| now <= queries[i].arrival_s + d);
-            if pending.len() != before {
-                acc.shed += before - pending.len();
-                continue; // re-derive the earliest ready instant
-            }
-        }
-
-        // Bounded-queue load shedding: drop the newest waiting queries
-        // beyond capacity.
-        if cfg.queue_capacity > 0 {
-            let waiting: Vec<usize> = pending
-                .iter()
-                .copied()
-                .filter(|&i| queries[i].ready_s <= now)
-                .collect();
-            if waiting.len() > cfg.queue_capacity {
-                let excess = &waiting[cfg.queue_capacity..];
-                pending.retain(|i| !excess.contains(i));
-                acc.shed += excess.len();
-                continue;
-            }
-        }
-
-        // Admit ready queries in arrival order, up to the (possibly
-        // degraded) batch limit.
-        let eff_batch = effective_batch(cfg, level);
-        let mut admitted = Vec::with_capacity(eff_batch);
-        for &i in &pending {
-            if queries[i].ready_s <= now {
-                admitted.push(i);
-                if admitted.len() == eff_batch {
-                    break;
-                }
-            }
-        }
-        let out_tokens = effective_out_tokens(cfg, level);
-
-        engine.set_clock_s(now);
-        let req = GenerationRequest::new(cfg.prompt_tokens, out_tokens).with_batch(admitted.len());
-        match engine.run(model, prec, &req) {
-            Ok(outcome) => {
-                let batch_start = now;
-                let service = outcome.total_latency_s();
-                now += service;
-                let mut step_missed = false;
-                for &i in &admitted {
-                    let latency = now - queries[i].arrival_s;
-                    acc.record_query(latency, batch_start - queries[i].arrival_s);
-                    if let Some(d) = cfg.deadline_s {
-                        if latency > d {
-                            acc.deadline_misses += 1;
-                            step_missed = true;
-                        }
-                    }
-                }
-                acc.energy += outcome.total_energy_j();
-                acc.tokens += outcome.total_generated_tokens() as f64;
-                acc.record_batch(admitted.len());
-                acc.preemptions += outcome.preemptions;
-                if level > 0 {
-                    acc.degraded_s += service;
-                }
-                pending.retain(|i| !admitted.contains(i));
-                if cfg.degradation {
-                    if outcome.throttled_s > 0.0 || step_missed {
-                        level = (level + 1).min(MAX_DEGRADE_LEVEL);
-                    } else {
-                        level = level.saturating_sub(1);
-                    }
-                }
-            }
-            Err(_) => {
-                // The batch could not run (e.g. KV OOM under FailFast).
-                retry_or_drop(
-                    &mut queries,
-                    &mut pending,
-                    &admitted,
-                    now,
-                    cfg,
-                    &mut acc.retries,
-                    &mut acc.failed,
-                );
-                if cfg.degradation {
-                    level = (level + 1).min(MAX_DEGRADE_LEVEL);
-                }
-            }
-        }
-    }
-
-    Ok(acc.into_report(cfg, now))
-}
-
-/// Runs the continuous (iteration-level) serving simulation: an
-/// event-driven scheduler over [`BatchStepper`](crate::stepper::BatchStepper)
-/// that admits ready queries into the running batch at every
-/// decode-iteration boundary.
-///
-/// With every robustness control off and arrivals spaced past batch
-/// completion (a drained queue), this reproduces [`simulate_serving`]'s
-/// report bit-exactly; under load it sustains strictly higher throughput
-/// at equal or better SLO attainment because admission no longer waits for
-/// the whole previous batch to drain.
-///
-/// The device is served as a one-replica fleet: `engine` is the lone
-/// replica of the [`crate::cluster`] event loop, with no crash, partition
-/// or breaker weather, so a single device and
-/// `simulate_cluster(&ClusterConfig::new(1, ..), ..)` run the same code.
-/// Outages the engine raises itself still apply: a battery brown-out voids
-/// the in-flight work into the retry queue until the recharge model brings
-/// the device back, and a device with no recharge path strands its queue.
-/// Decisions and reports are bit-identical to the retired
-/// per-boundary-scan implementation (kept as
-/// [`crate::serving_reference::simulate_serving_continuous_reference`] and
-/// asserted against in the regression suite) wherever that loop modelled
-/// the run: it ignored brown-outs, and under recompute preemption it could
-/// snap the wall clock back before the stepper's own clock.
-///
-/// # Errors
-///
-/// Reports invalid configurations as [`EngineError::InvalidRequest`] and
-/// propagates [`EngineError::OutOfMemory`] when the model's weights alone
-/// exceed the device budget. Per-batch failures are retried or counted in
-/// [`ServingReport::failed_queries`], as in the static loop.
-pub fn simulate_serving_continuous(
-    engine: &mut InferenceEngine,
-    model: ModelId,
-    prec: Precision,
-    cfg: &ServingConfig,
-    seed: u64,
-) -> Result<ServingReport, EngineError> {
-    simulate_serving_traffic(
+    serve_device(
+        kind,
         engine,
         model,
         prec,
@@ -1185,6 +889,51 @@ pub fn simulate_serving_continuous(
         ArrivalProcess::PoissonLegacy,
         seed,
     )
+}
+
+/// Runs the static (gang-scheduled) serving simulation: each admitted
+/// batch runs to completion before the next one is admitted. This is
+/// [`simulate_serving_with`] under [`SchedulerKind::Static`].
+///
+/// # Errors
+///
+/// As [`simulate_serving_with`].
+pub fn simulate_serving(
+    engine: &mut InferenceEngine,
+    model: ModelId,
+    prec: Precision,
+    cfg: &ServingConfig,
+    seed: u64,
+) -> Result<ServingReport, EngineError> {
+    simulate_serving_with(SchedulerKind::Static, engine, model, prec, cfg, seed)
+}
+
+/// Runs the continuous (iteration-level) serving simulation, which admits
+/// ready queries into the running batch at every decode-iteration
+/// boundary. This is [`simulate_serving_with`] under
+/// [`SchedulerKind::Continuous`].
+///
+/// With every robustness control off and arrivals spaced past batch
+/// completion (a drained queue), this reproduces [`simulate_serving`]'s
+/// report bit-exactly; under load it sustains strictly higher throughput
+/// at equal or better SLO attainment because admission no longer waits for
+/// the whole previous batch to drain. Decisions and reports are
+/// bit-identical to the retired per-boundary-scan loop, which the engine
+/// crate's tests keep as an oracle, wherever that loop modelled the run:
+/// it ignored brown-outs, and under recompute preemption it could snap the
+/// wall clock back before the stepper's own clock.
+///
+/// # Errors
+///
+/// As [`simulate_serving_with`].
+pub fn simulate_serving_continuous(
+    engine: &mut InferenceEngine,
+    model: ModelId,
+    prec: Precision,
+    cfg: &ServingConfig,
+    seed: u64,
+) -> Result<ServingReport, EngineError> {
+    simulate_serving_with(SchedulerKind::Continuous, engine, model, prec, cfg, seed)
 }
 
 /// Runs the continuous scheduler against an arbitrary [`ArrivalProcess`] —
@@ -1205,12 +954,41 @@ pub fn simulate_serving_traffic(
     process: ArrivalProcess,
     seed: u64,
 ) -> Result<ServingReport, EngineError> {
+    serve_device(
+        SchedulerKind::Continuous,
+        engine,
+        model,
+        prec,
+        cfg,
+        process,
+        seed,
+    )
+}
+
+/// Serves `cfg`'s queries, drawn from `process`, on `engine` as the one
+/// calm replica of the fleet event loop under `kind`.
+fn serve_device(
+    kind: SchedulerKind,
+    engine: &mut InferenceEngine,
+    model: ModelId,
+    prec: Precision,
+    cfg: &ServingConfig,
+    process: ArrivalProcess,
+    seed: u64,
+) -> Result<ServingReport, EngineError> {
     cfg.validate()
         .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
+    if kind == SchedulerKind::Static && cfg.admission.is_some() {
+        return Err(EngineError::InvalidRequest(
+            "priority admission requires the continuous scheduler".into(),
+        ));
+    }
     let calm = ClusterConfig::new(1, engine.config().clone());
     let device = Replica::new(engine, model, prec)?;
     let arrivals = PendingQueue::new(process, cfg.arrival_qps, cfg.queries, seed);
-    Ok(run_fleet(&calm, &mut [device], cfg, arrivals).report.fleet)
+    Ok(run_fleet(&calm, &mut [device], cfg, kind, arrivals)
+        .report
+        .fleet)
 }
 
 #[cfg(test)]
@@ -1218,6 +996,8 @@ mod tests {
     use super::*;
     use crate::cluster::simulate_cluster;
     use crate::engine::{EngineConfig, OomPolicy};
+    use crate::telemetry::ServingAccumulator;
+    use edgereasoning_soc::rng::Rng;
 
     fn engine() -> InferenceEngine {
         InferenceEngine::new(EngineConfig::vllm(), 3)
@@ -1608,52 +1388,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_retry_chains_saturate_backoff_without_overflow() {
-        // Regression: `1u32 << exp` panics in debug builds once attempts
-        // reach 32; the exponent clamp must saturate the backoff instead.
-        let mut queries = vec![QueryState {
-            arrival_s: 0.0,
-            ready_s: 0.0,
-            attempts: 0,
-        }];
-        let mut pending = vec![0usize];
-        let load = cfg(1.0, 8).with_retries(64, 0.5);
-        let (mut retries, mut failed) = (0usize, 0usize);
-        let mut last_backoff = 0.0;
-        for round in 0..64 {
-            retry_or_drop(
-                &mut queries,
-                &mut pending,
-                &[0],
-                0.0,
-                &load,
-                &mut retries,
-                &mut failed,
-            );
-            assert_eq!(pending, vec![0], "attempt {round} stays retriable");
-            let backoff = queries[0].ready_s;
-            assert!(backoff.is_finite() && backoff > 0.0, "finite backoff");
-            assert!(backoff >= last_backoff, "backoff never shrinks");
-            last_backoff = backoff;
-        }
-        // Saturated: clamped exponent means the last doublings are flat.
-        assert_eq!(last_backoff, 0.5 * f64::from(1u32 << 16));
-        assert_eq!(retries, 64);
-        // The 65th attempt exhausts the budget and drops the query.
-        retry_or_drop(
-            &mut queries,
-            &mut pending,
-            &[0],
-            0.0,
-            &load,
-            &mut retries,
-            &mut failed,
-        );
-        assert!(pending.is_empty());
-        assert_eq!(failed, 1);
-    }
-
-    #[test]
     fn empty_percentiles_are_nan_not_perfect() {
         // ~64 KV tokens: not even one 256-token query fits, and with no
         // retries every query fails — zero completions.
@@ -2024,6 +1758,36 @@ mod tests {
         let err = simulate_serving(&mut e, ModelId::Dsr1Qwen1_5b, Precision::Fp16, &bad, 1)
             .expect_err("static scheduler cannot honor admission control");
         assert!(matches!(err, EngineError::InvalidRequest(_)), "{err:?}");
+    }
+
+    #[test]
+    fn gang_scheduling_checks_the_device_before_serving() {
+        // Weights that cannot fit and an inverted hysteresis band are
+        // errors under either admission rule, not a run of failed queries.
+        use edgereasoning_soc::thermal::GovernanceConfig;
+        let bad = GovernanceConfig::default().with_trip(50.0, 60.0);
+        let mut e = InferenceEngine::new(EngineConfig::vllm().with_governance(bad), 3);
+        let err = simulate_serving(
+            &mut e,
+            ModelId::Dsr1Qwen1_5b,
+            Precision::Fp16,
+            &cfg(1.0, 4),
+            3,
+        )
+        .expect_err("inverted hysteresis must be rejected");
+        assert!(matches!(err, EngineError::InvalidRequest(_)), "{err:?}");
+        let mut tiny = EngineConfig::vllm();
+        tiny.memory_budget_frac = 0.01;
+        let mut e = InferenceEngine::new(tiny, 3);
+        let err = simulate_serving(
+            &mut e,
+            ModelId::Dsr1Qwen14b,
+            Precision::Fp16,
+            &cfg(1.0, 4),
+            3,
+        )
+        .expect_err("14B weights exceed 1% of device memory");
+        assert!(matches!(err, EngineError::OutOfMemory { .. }), "{err:?}");
     }
 
     /// 500-seed differential: the class-walk [`AdmissionState::select`]

@@ -31,11 +31,12 @@
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
 
+use crate::arrivals::{ArrivalGen, ArrivalProcess};
 use crate::cluster::{run_fleet, ClusterConfig, Replica};
 use crate::des::{PendingQueue, Trace};
 use crate::engine::InferenceEngine;
 use crate::prefix_cache::PrefixCacheStats;
-use crate::serving::{poisson_arrivals, ServingConfig, ServingReport};
+use crate::serving::{SchedulerKind, ServingConfig, ServingReport};
 use crate::EngineError;
 
 /// One query of a session/template trace: its arrival instant, shape, and
@@ -175,12 +176,17 @@ impl PartialEq for SessionReport {
 /// [`simulate_serving_sessions`] must match
 /// [`crate::serving::simulate_serving_continuous`] bit for bit on drained
 /// queues, or at any load one sequence at a time.
+///
+/// # Panics
+///
+/// As [`ArrivalGen::new`]: if `cfg.arrival_qps` is not finite and
+/// positive.
 #[must_use]
 pub fn uniform_session_trace(cfg: &ServingConfig, seed: u64) -> Vec<SessionRequest> {
-    poisson_arrivals(cfg, seed)
-        .into_iter()
-        .map(|q| SessionRequest {
-            arrival_s: q.arrival_s,
+    let mut arrivals = ArrivalGen::new(ArrivalProcess::PoissonLegacy, cfg.arrival_qps, seed);
+    (0..cfg.queries)
+        .map(|_| SessionRequest {
+            arrival_s: arrivals.next_arrival(),
             prompt_tokens: cfg.prompt_tokens,
             output_tokens: cfg.output_tokens,
             prefix: Vec::new(),
@@ -235,7 +241,13 @@ pub fn simulate_serving_sessions(
     }));
     let calm = ClusterConfig::new(1, engine.config().clone());
     let mut device = [Replica::new(engine, model, prec)?];
-    let mut run = run_fleet(&calm, &mut device, &serving, trace);
+    let mut run = run_fleet(
+        &calm,
+        &mut device,
+        &serving,
+        SchedulerKind::Continuous,
+        trace,
+    );
     let serving = run.report.fleet;
     let goodput_qps = if serving.wall_s > 0.0 {
         (serving.completed - serving.deadline_misses) as f64 / serving.wall_s

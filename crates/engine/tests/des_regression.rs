@@ -1,20 +1,20 @@
-//! Regression suite for the discrete-event serving core.
+//! Regression suite for the serving loop.
 //!
-//! The continuous scheduler is the fleet event loop of `engine::cluster`;
-//! a single device runs as its one calm replica. Every decision, RNG draw
-//! and float operation must stay in the order of the retired
-//! per-boundary-scan loop. These tests pin that contract by comparing
-//! reports — whose `PartialEq` is *bitwise* on every float field — across:
+//! Every single-device entry point runs the fleet event loop of
+//! `engine::cluster` on its one calm replica, and gang scheduling is one
+//! of that loop's two admission rules. Every decision, RNG draw and float
+//! operation must stay in the order of the retired loops. These tests pin
+//! that contract by comparing reports — whose `PartialEq` is *bitwise* on
+//! every float field — across:
 //!
-//! * `simulate_serving_continuous` (production: the one-replica fleet),
-//! * `simulate_serving_continuous_reference` (the pre-DES loop, verbatim),
-//! * `simulate_serving` (the static gang scheduler, the drained oracle),
+//! * `simulate_serving_continuous` (continuous batching),
+//! * `simulate_serving` (gang scheduling: on a drained queue every batch
+//!   finds the device idle, so the gang rule is inert and both rules must
+//!   agree),
 //! * `simulate_cluster` over one replica (the same loop from a fleet config).
 //!
-//! The reference differs in one accounting detail: when recompute
-//! preemption retires a drained batch before the stepper's own clock, it
-//! snaps the wall clock back to the completion, where the fleet loop keeps
-//! the later instant. The oracle configurations never hit that case.
+//! The pre-DES loop, verbatim, is a test-only oracle of the engine crate
+//! (`serving_reference.rs`), compared against beside its code.
 //!
 //! Golden fingerprints freeze the outputs of the retired single-device DES
 //! loop over a grid of configurations, and of stressed one-replica fleets,
@@ -23,10 +23,10 @@
 use edgereasoning_engine::cluster::BreakerConfig;
 use edgereasoning_engine::engine::{EngineConfig, OomPolicy};
 use edgereasoning_engine::{
-    simulate_cluster, simulate_serving, simulate_serving_continuous,
-    simulate_serving_continuous_reference, simulate_serving_sessions, simulate_serving_traffic,
-    uniform_session_trace, AdmissionConfig, ArrivalProcess, ClusterConfig, CrashConfig,
-    InferenceEngine, Priority, PriorityMix, ServingConfig, SessionConfig,
+    simulate_cluster, simulate_serving, simulate_serving_continuous, simulate_serving_sessions,
+    simulate_serving_traffic, uniform_session_trace, AdmissionConfig, ArrivalProcess,
+    ClusterConfig, CrashConfig, InferenceEngine, Priority, PriorityMix, ServingConfig,
+    SessionConfig,
 };
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
@@ -45,101 +45,6 @@ fn pressured(policy: OomPolicy, kv_tokens: u64) -> EngineConfig {
     let budget = arch.weight_bytes(Precision::Fp16) + kv_tokens * arch.kv_bytes_per_token();
     config.memory_budget_frac = budget as f64 / config.soc.gpu.dram_capacity as f64;
     config
-}
-
-fn assert_des_matches_reference(cfg: &ServingConfig, mk: impl Fn() -> InferenceEngine, seed: u64) {
-    let mut de = mk();
-    let des =
-        simulate_serving_continuous(&mut de, ModelId::Dsr1Qwen1_5b, Precision::Fp16, cfg, seed)
-            .expect("des runs");
-    let mut re = mk();
-    let reference = simulate_serving_continuous_reference(
-        &mut re,
-        ModelId::Dsr1Qwen1_5b,
-        Precision::Fp16,
-        cfg,
-        seed,
-    )
-    .expect("reference runs");
-    assert_eq!(
-        des, reference,
-        "DES report must be bit-identical to the pre-DES loop (seed {seed}, cfg {cfg:?})"
-    );
-}
-
-#[test]
-fn des_matches_reference_when_drained() {
-    // Arrivals spaced far past service time: every admission hits an empty
-    // stepper. This is also the regime where both equal the static oracle.
-    let cfg = ServingConfig::new(1e-4, 8, 24, 128, 128);
-    for seed in [1, 7, 42] {
-        assert_des_matches_reference(&cfg, engine, seed);
-    }
-}
-
-#[test]
-fn des_matches_reference_under_load() {
-    // Saturating load: continuous admission joins running batches at decode
-    // boundaries, exercising mixed-context steps and the drain-snap clock.
-    let cfg = ServingConfig::new(2.0, 8, 60, 128, 128);
-    for seed in [1, 9, 42] {
-        assert_des_matches_reference(&cfg, engine, seed);
-    }
-}
-
-#[test]
-fn des_matches_reference_with_deadline_shedding() {
-    // Overload against a single-slot server with an SLO: the deadline pass
-    // must shed the same queries at the same boundaries.
-    let cfg = ServingConfig::new(2.0, 1, 40, 128, 128).with_deadline(10.0);
-    assert_des_matches_reference(&cfg, engine, 5);
-}
-
-#[test]
-fn des_matches_reference_with_bounded_queue() {
-    // Capacity shedding drops the newest waiting queries; the seq-merge cut
-    // must pick exactly the entries the legacy `waiting[capacity..]` did.
-    let cfg = ServingConfig::new(4.0, 1, 40, 128, 128).with_queue_capacity(2);
-    assert_des_matches_reference(&cfg, engine, 5);
-}
-
-#[test]
-fn des_matches_reference_under_oom_retries_and_degradation() {
-    // FailFast OOM pressure with retries, backoff and the degradation
-    // ladder: exercises requeue (admission-Err), fail_all (step-Err) and
-    // the deferred/wakeup machinery end to end.
-    let cfg = ServingConfig::new(2.0, 8, 40, 128, 128)
-        .with_retries(3, 1.0)
-        .with_degradation(true);
-    for seed in [5, 11] {
-        assert_des_matches_reference(
-            &cfg,
-            || InferenceEngine::new(pressured(OomPolicy::FailFast, 1600), 3),
-            seed,
-        );
-    }
-}
-
-#[test]
-fn des_matches_reference_under_preemption_pressure() {
-    let cfg = ServingConfig::new(2.0, 8, 40, 128, 128);
-    assert_des_matches_reference(
-        &cfg,
-        || InferenceEngine::new(pressured(OomPolicy::PreemptRecompute, 1600), 3),
-        5,
-    );
-}
-
-#[test]
-fn des_matches_reference_with_all_queries_failing() {
-    // Zero completions: NaN percentiles must still compare equal (bitwise
-    // report equality treats NaN == NaN).
-    let cfg = ServingConfig::new(2.0, 4, 10, 128, 128);
-    assert_des_matches_reference(
-        &cfg,
-        || InferenceEngine::new(pressured(OomPolicy::FailFast, 64), 3),
-        5,
-    );
 }
 
 #[test]
@@ -171,8 +76,9 @@ fn one_replica_no_crash_fleet_is_the_continuous_scheduler() {
 fn single_device_browns_out_like_a_one_replica_fleet() {
     // A 120 J battery on a 10 W trickle charger cannot carry 48 queries at
     // 2.5 qps: the device browns out, voids its in-flight work into the
-    // retry queue and resumes once recharged. The single-device entry point
-    // must honour those outages exactly as the one-replica fleet does.
+    // retry queue and resumes once recharged. The single-device entry points
+    // must honour those outages: continuous batching exactly as the
+    // one-replica fleet does, and gang scheduling on the same loop.
     let gov = GovernanceConfig::default()
         .with_trip(10_000.0, 9_000.0)
         .with_battery(BatteryConfig {
@@ -193,13 +99,32 @@ fn single_device_browns_out_like_a_one_replica_fleet() {
         seed,
     )
     .expect("fleet runs");
-    let mut e = InferenceEngine::new(engine_cfg, seed);
+    let mut e = InferenceEngine::new(engine_cfg.clone(), seed);
     let single =
         simulate_serving_continuous(&mut e, ModelId::Dsr1Qwen1_5b, Precision::Fp16, &cfg, seed)
             .expect("single runs");
     assert!(fleet.brownout_events > 0, "battery must brown out");
     assert_eq!(single, fleet.fleet);
     assert_eq!(single.completed, cfg.queries, "every query retires");
+
+    // Gang scheduling with no deadline or retries: each outage lands after
+    // the batch in flight retires, so nothing is voided, but the device
+    // waits out every recharge. Serving straight through them finished all
+    // 48 queries in 31.777 s on 1 brown-out; waiting takes 38.667 s and
+    // 491.0 J.
+    let gang_cfg = ServingConfig::new(2.5, 8, 48, 128, 128);
+    let mut g = InferenceEngine::new(engine_cfg, seed);
+    let gang = simulate_serving(
+        &mut g,
+        ModelId::Dsr1Qwen1_5b,
+        Precision::Fp16,
+        &gang_cfg,
+        seed,
+    )
+    .expect("gang runs");
+    assert_eq!(g.governance_stats().map(|s| s.brownouts), Some(4));
+    assert_eq!(gang.completed, gang_cfg.queries, "every query retires");
+    assert_eq!(fingerprint(&gang), 0x35b3_d67f_5110_333c);
 }
 
 #[test]
@@ -229,9 +154,10 @@ fn single_device_wall_clock_is_the_one_replica_fleets_under_preemption() {
 
 #[test]
 fn drained_des_matches_static_oracle() {
-    // The second input is a governed device whose long batches heat the die
-    // past its trip point: standalone runs must feed the governor the
-    // energy they draw, so both schedulers throttle alike.
+    // On a drained queue every batch finds the device idle, so the gang
+    // rule never withholds room and both admission rules serve the same
+    // schedule. The second input is a governed device whose long batches
+    // heat the die past its trip point, so both throttle alike.
     let cases = [
         (
             ModelId::Dsr1Qwen1_5b,

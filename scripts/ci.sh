@@ -26,10 +26,7 @@ cargo test --release -q --workspace
 
 # Every study smoke runs twice: the CSV must be non-empty, byte-identical
 # across the two runs (determinism) and byte-identical to the committed
-# outputs/<study>_smoke.csv (no silent decision drift). The full study
-# runs once and must match the committed outputs/<study>.csv too: smoke
-# cells stay inside the exact-sample window, so only the full-size cells
-# reach the sketch-percentile path.
+# outputs/<study>_smoke.csv (no silent decision drift).
 for study in resilience serving fleet traffic session thermal overload; do
     bin="${study}_study"
     csv="outputs/${bin}_smoke.csv"
@@ -42,11 +39,14 @@ for study in resilience serving fleet traffic session thermal overload; do
     cmp "$csv" "$csv.first" || { echo "FAIL: $bin smoke not deterministic"; exit 1; }
     rm -f "$csv.first"
     git diff --exit-code HEAD -- "$csv" || { echo "FAIL: $csv differs from the committed file"; exit 1; }
-    full="outputs/${bin}.csv"
-    echo "==> $bin (full size, matches the committed CSV)"
-    cargo run --release -q -p edgereasoning-bench --bin "$bin"
-    git diff --exit-code HEAD -- "$full" || { echo "FAIL: $full differs from the committed file"; exit 1; }
 done
+
+# Every paper table, figure and full-size study regenerates and must match
+# its committed CSV: smoke cells stay inside the exact-sample window, so
+# only the full-size cells reach the sketch-percentile path.
+echo "==> reproduce_all.sh (every committed CSV regenerates byte-identically)"
+bash scripts/reproduce_all.sh > /dev/null
+git diff --exit-code HEAD -- outputs/ || { echo "FAIL: outputs/ differs from the committed CSVs"; exit 1; }
 
 echo "==> conservation auditor re-check over study-smoke configurations"
 cargo test --release -q --test properties auditor_passes_on_study_smoke_configs

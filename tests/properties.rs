@@ -407,9 +407,10 @@ proptest! {
     }
 
     /// With arrivals spaced far past batch completion (a drained queue),
-    /// the continuous (iteration-level) scheduler reproduces the static
-    /// gang-scheduled report bit-exactly: same phase keys, same float-op
-    /// order, same RNG draws.
+    /// every batch finds the device idle, so the gang rule ("a busy device
+    /// has no room") is inert: continuous batching and gang scheduling
+    /// serve the same schedule on the one serving loop and report
+    /// bit-exactly the same.
     #[test]
     fn drained_continuous_serving_matches_static(
         seed in 0u64..200, queries in 2usize..9, max_batch in 1usize..8
