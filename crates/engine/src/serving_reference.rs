@@ -235,7 +235,7 @@ struct QueryState {
 }
 
 /// The legacy Poisson stream, pre-expanded (the same draws as
-/// [`ArrivalProcess::PoissonLegacy`](crate::arrivals::ArrivalProcess)).
+/// [`ArrivalProcess::PoissonLegacy`](crate::arrivals::ArrivalProcess::PoissonLegacy)).
 fn poisson_arrivals(cfg: &ServingConfig, seed: u64) -> Vec<QueryState> {
     let mut rng = Rng::seed_from_u64(seed ^ 0x005e_5256);
     let mut queries = Vec::with_capacity(cfg.queries);

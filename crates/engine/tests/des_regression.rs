@@ -13,8 +13,8 @@
 //!   agree),
 //! * `simulate_cluster` over one replica (the same loop from a fleet config).
 //!
-//! The pre-DES loop, verbatim, is a test-only oracle of the engine crate
-//! (`serving_reference.rs`), compared against beside its code.
+//! The pre-DES loop survives verbatim as a test-only oracle of the engine
+//! crate (`serving_reference.rs`); its comparisons live beside it.
 //!
 //! Golden fingerprints freeze the outputs of the retired single-device DES
 //! loop over a grid of configurations, and of stressed one-replica fleets,
