@@ -10,9 +10,17 @@
 //! # `run` is one drained admission
 //!
 //! [`InferenceEngine::run`] admits its request into a fresh stepper at the
-//! engine's clock and steps until it retires, so standalone generations,
-//! the static serving loop and the continuous schedulers execute the same
-//! code. The stepper drives the engine's phase machinery: deterministic
+//! engine's clock and steps until it retires. The one serving loop (the
+//! fleet loop of [`crate::cluster`]) admits into each replica's stepper
+//! under one of two admission rules: gang scheduling, where a busy replica
+//! has no room so each batch drains before the next admission, and
+//! continuous batching, where admissions join the running batch at an
+//! iteration boundary. Standalone generations and every served request
+//! thus execute the same code. Admission and the readmission of waiting
+//! (preempted or never-placed) groups share one placement routine: it
+//! allocates the sequences that fit, queues the rest, and charges the
+//! slot's prompt prefill or a recompute pass as one busy segment. The
+//! stepper drives the engine's phase machinery: deterministic
 //! roofline aggregates memoized in the
 //! [`PhasePlanCache`](crate::plan_cache::PhasePlanCache), *exactly one*
 //! stochastic perturbation draw per phase, the decode-base memo,
@@ -438,7 +446,6 @@ impl BatchStepper {
             self.clock = now;
         }
         let total_tokens = req.prompt_tokens + req.max_new_tokens;
-        let policy = engine.config().oom_policy;
 
         // Shareable limit: full prompt blocks only, and the un-cached
         // suffix keeps at least one token (vLLM recomputes the last token
@@ -451,57 +458,37 @@ impl BatchStepper {
                 .min(req.prompt_tokens.saturating_sub(1) / self.kv.block_tokens())
         };
 
-        let mut shared_tokens = 0usize;
-        let mut cached_tokens = 0usize;
-        let mut prefix_path = None;
-        if share_limit == 0 {
-            // Admission feasibility: FailFast reserves every sequence's
-            // whole growth; PreemptRecompute needs one sequence to fit.
-            match policy {
-                OomPolicy::FailFast => {
-                    let need = self.kv.blocks_needed(total_tokens) * req.batch as u64;
-                    let outstanding = self.outstanding_growth_blocks();
-                    if need + outstanding > self.kv.free_blocks() {
-                        return Err(oom_error(&self.kv, req));
-                    }
-                }
-                OomPolicy::PreemptRecompute => {
-                    if !self.kv.would_fit_capacity(1, total_tokens) {
-                        return Err(oom_error(&self.kv, req));
-                    }
-                }
-            }
-        } else {
-            let outstanding = self.outstanding_growth_blocks();
-            let bt = self.kv.block_tokens();
-            let batch = req.batch as u32;
-            let cache = self.prefix.get_or_insert_with(Default::default);
+        let (mut shared_tokens, mut cached_tokens, mut prefix_path) = (0, 0, None);
+        if share_limit > 0 {
             // Pin the resident prefix first (protecting it from eviction),
             // then extend the tree with the shareable remainder.
-            let acq = cache.acquire(&mut self.kv, &prefix[..share_limit], batch);
-            shared_tokens = acq.resident_blocks * bt;
-            cached_tokens = acq.hit_blocks * bt;
+            let cache = self.prefix.get_or_insert_with(Default::default);
+            let acq = cache.acquire(&mut self.kv, &prefix[..share_limit], req.batch as u32);
+            shared_tokens = acq.resident_blocks * self.kv.block_tokens();
+            cached_tokens = acq.hit_blocks * self.kv.block_tokens();
             prefix_path = acq.handle;
-            let feasible = match policy {
-                OomPolicy::FailFast => {
-                    // Reserve the private suffix (prompt tail + full output
-                    // growth) up front, reclaiming cold paths on demand.
-                    let need =
-                        self.kv.blocks_needed(total_tokens - shared_tokens) * req.batch as u64;
-                    let free = self.kv.free_blocks();
-                    if need + outstanding > free {
-                        cache.evict(&mut self.kv, need + outstanding - free);
+        }
+        // Admission feasibility: FailFast reserves every sequence's private
+        // suffix (prompt tail + full output growth) on top of the live
+        // slots' outstanding growth; PreemptRecompute needs one sequence to
+        // fit end to end. Only prefixed requests reclaim cold tree paths.
+        let feasible = match engine.config().oom_policy {
+            OomPolicy::FailFast => {
+                let need = self.kv.blocks_needed(total_tokens - shared_tokens) * req.batch as u64
+                    + self.outstanding_growth_blocks();
+                let free = self.kv.free_blocks();
+                if share_limit > 0 && need > free {
+                    if let Some(cache) = self.prefix.as_mut() {
+                        cache.evict(&mut self.kv, need - free);
                     }
-                    need + outstanding <= self.kv.free_blocks()
                 }
-                OomPolicy::PreemptRecompute => self.kv.would_fit_capacity(1, total_tokens),
-            };
-            if !feasible {
-                if let Some(handle) = prefix_path {
-                    cache.release(handle, batch);
-                }
-                return Err(oom_error(&self.kv, req));
+                need <= self.kv.free_blocks()
             }
+            OomPolicy::PreemptRecompute => self.kv.would_fit_capacity(1, total_tokens),
+        };
+        if !feasible {
+            self.unpin_prefix(prefix_path, req.batch);
+            return Err(oom_error(&self.kv, req));
         }
 
         // Reuse a retired slab index when one is free; the slab stays sized
@@ -509,7 +496,7 @@ impl BatchStepper {
         let slot_idx = self.free.pop().unwrap_or(self.slots.len());
         let id = SlotId(self.next_slot);
         self.next_slot += 1;
-        let mut slot = Slot {
+        let slot = Slot {
             id,
             batch: req.batch,
             prompt_tokens: req.prompt_tokens,
@@ -527,76 +514,13 @@ impl BatchStepper {
             cached_tokens,
             prefix_path,
         };
-
-        // Place as many sequences as fit right now (FailFast: all of them,
-        // by the reservation above). Private allocations cover only the
-        // prompt past the shared prefix.
-        let mut seqs = self.seq_pool.pop().unwrap_or_default();
-        seqs.reserve(req.batch);
-        for placed in 0..req.batch {
-            match self.alloc_private(req.prompt_tokens - shared_tokens) {
-                Some(sid) => seqs.push(sid),
-                None => match policy {
-                    OomPolicy::FailFast => return Err(oom_error(&self.kv, req)),
-                    OomPolicy::PreemptRecompute => {
-                        self.waiting.push_back(WaitEntry {
-                            slot: slot_idx,
-                            count: req.batch - placed,
-                            produced: 0,
-                        });
-                        break;
-                    }
-                },
-            }
-        }
-
-        let mut busy = 0.0;
-        if seqs.is_empty() {
-            self.seq_pool.push(seqs);
-        } else {
-            // Prompt prefill (batch 1, shared prompt — the paper's setup),
-            // shaped by the un-cached suffix only: cache hits skip their
-            // share of the prefill compute, latency and energy entirely.
-            let suffix_tokens = req.prompt_tokens - cached_tokens;
-            let t = self.clock;
-            let throttled = engine.apply_faults_at(t);
-            let gpu_fp = engine.gpu_fingerprint();
-            let arch = &self.arch;
-            let det = engine.deterministic_phase(
-                self.key(gpu_fp, PhaseKind::Prefill, 1, suffix_tokens),
-                &arch.calib.prefill,
-                |plan| build_prefill_into(plan, arch, self.prec, 1, suffix_tokens),
-            );
-            let mut prefill = engine.perturb(&det);
-            if throttled {
-                engine.counters_mut().throttled_phases += 1;
-                slot.throttled_s += prefill.latency_s;
-            }
-            fold_stalls(engine, t, &mut prefill);
-            slot.prefill = prefill;
-            slot.prefilled = true;
-            busy = prefill.latency_s;
-            self.clock += busy;
-            engine.feed_governance(prefill.energy_j, t, self.clock);
-            self.cohorts.push(Cohort {
-                slot: slot_idx,
-                prompt_tokens: req.prompt_tokens,
-                max_new_tokens: req.max_new_tokens,
-                produced: 0,
-                shared_tokens,
-                seqs,
-            });
-        }
-
         if slot_idx == self.slots.len() {
             self.slots.push(Some(slot));
         } else {
             self.slots[slot_idx] = Some(slot);
         }
         self.order.push(slot_idx);
-        if busy > 0.0 {
-            self.charge_wait(busy, slot_idx);
-        }
+        self.place(engine, slot_idx, req.batch, 0);
         Ok(AdmitOutcome {
             id,
             end_s: self.clock,
@@ -604,13 +528,117 @@ impl BatchStepper {
         })
     }
 
+    /// Places up to `count` sequences of slot `slot_idx` at progress point
+    /// `produced` — the one placement path of admission and readmission.
+    /// Allocates the private context (past the still-resident shared
+    /// prefix) of as many sequences as fit and queues the rest, then
+    /// charges the placement as one busy segment: the slot's prompt prefill
+    /// over its un-cached suffix on its first placement, otherwise a
+    /// batch-1 recompute pass over the lost private context, once per
+    /// placed sequence (the shared prefix stayed pinned in the tree, so
+    /// preempted sequences never recompute it).
+    fn place(
+        &mut self,
+        engine: &mut InferenceEngine,
+        slot_idx: usize,
+        count: usize,
+        produced: usize,
+    ) {
+        let Some(s) = self.slots[slot_idx].as_ref() else {
+            return;
+        };
+        let (prompt_tokens, max_new_tokens, shared_tokens) =
+            (s.prompt_tokens, s.max_new_tokens, s.shared_tokens);
+        let first = !s.prefilled && produced == 0;
+        let private = prompt_tokens + produced - shared_tokens;
+        let tokens = if first {
+            prompt_tokens - s.cached_tokens
+        } else {
+            private
+        };
+        let mut seqs = self.seq_pool.pop().unwrap_or_default();
+        seqs.reserve(count);
+        for placed in 0..count {
+            match self.alloc_private(private) {
+                Some(sid) => seqs.push(sid),
+                None => {
+                    // FailFast admission reserved every sequence's blocks,
+                    // so only PreemptRecompute ever waits — which is what
+                    // `outstanding_growth_blocks` relies on.
+                    debug_assert!(engine.config().oom_policy != OomPolicy::FailFast);
+                    self.waiting.push_back(WaitEntry {
+                        slot: slot_idx,
+                        count: count - placed,
+                        produced,
+                    });
+                    break;
+                }
+            }
+        }
+        if seqs.is_empty() {
+            self.seq_pool.push(seqs);
+            return; // other slots hold the cache; retry next step
+        }
+
+        let t = self.clock;
+        let throttled = engine.apply_faults_at(t);
+        let gpu_fp = engine.gpu_fingerprint();
+        let arch = &self.arch;
+        let prec = self.prec;
+        let det = engine.deterministic_phase(
+            self.key(gpu_fp, PhaseKind::Prefill, 1, tokens),
+            &arch.calib.prefill,
+            |plan| build_prefill_into(plan, arch, prec, 1, tokens),
+        );
+        let mut phase = engine.perturb(&det);
+        let recovered = if first {
+            0
+        } else {
+            phase = phase.repeated(seqs.len());
+            engine.counters_mut().recomputed_tokens += (tokens * seqs.len()) as u64;
+            tokens * seqs.len()
+        };
+        if throttled {
+            engine.counters_mut().throttled_phases += 1;
+        }
+        if let Some(s) = self.slots[slot_idx].as_mut() {
+            if throttled {
+                s.throttled_s += phase.latency_s;
+            }
+            fold_stalls(engine, t, &mut phase);
+            if first {
+                s.prefill = phase;
+                s.prefilled = true;
+            } else {
+                s.recomputed_tokens += recovered;
+                if phase.latency_s > 0.0 {
+                    s.decode.merge(&phase);
+                }
+            }
+        }
+        let busy = phase.latency_s;
+        self.clock += busy;
+        engine.feed_governance(phase.energy_j, t, self.clock);
+        if busy > 0.0 {
+            self.charge_wait(busy, slot_idx);
+        }
+        self.cohorts.push(Cohort {
+            slot: slot_idx,
+            prompt_tokens,
+            max_new_tokens,
+            produced,
+            shared_tokens,
+            seqs,
+        });
+    }
+
     /// Re-places waiting (preempted or never-placed) groups whose slot has
     /// no live cohort — a slot's next cohort starts when its previous one
-    /// drains — charging their context recomputation.
-    fn readmit_waiting(&mut self, engine: &mut InferenceEngine) -> Result<(), EngineError> {
+    /// drains.
+    fn readmit_waiting(&mut self, engine: &mut InferenceEngine) {
         if self.waiting.is_empty() {
             // Hot path: nothing preempted, nothing to place.
-            return Ok(());
+            return;
         }
         // Slots with live cohorts keep their waiting groups queued.
         // Admission order (`order`), which pre-slab equalled ascending slot
@@ -631,7 +659,7 @@ impl BatchStepper {
             let Some(first) = self.waiting.iter().position(|w| w.slot == slot_idx) else {
                 continue;
             };
-            let produced0 = self.waiting[first].produced;
+            let produced = self.waiting[first].produced;
             let mut count = 0usize;
             let mut i = first;
             while i < self.waiting.len() {
@@ -639,121 +667,14 @@ impl BatchStepper {
                     i += 1;
                     continue;
                 }
-                if self.waiting[i].produced != produced0 {
+                if self.waiting[i].produced != produced {
                     break;
                 }
                 count += self.waiting[i].count;
                 self.waiting.remove(i);
             }
-
-            let (prompt_tokens, max_new_tokens, prefilled, shared_tokens, cached_tokens) =
-                match self.slots[slot_idx].as_ref() {
-                    Some(s) => (
-                        s.prompt_tokens,
-                        s.max_new_tokens,
-                        s.prefilled,
-                        s.shared_tokens,
-                        s.cached_tokens,
-                    ),
-                    None => continue,
-                };
-            let ctx0 = prompt_tokens + produced0;
-            // Admit as many as currently fit; the rest keep waiting. Only
-            // the private context (past the still-resident shared prefix)
-            // needs blocks.
-            let mut seqs = self.seq_pool.pop().unwrap_or_default();
-            seqs.reserve(count);
-            for placed in 0..count {
-                match self.alloc_private(ctx0 - shared_tokens) {
-                    Some(sid) => seqs.push(sid),
-                    None => {
-                        self.waiting.push_back(WaitEntry {
-                            slot: slot_idx,
-                            count: count - placed,
-                            produced: produced0,
-                        });
-                        break;
-                    }
-                }
-            }
-            if seqs.is_empty() {
-                self.seq_pool.push(seqs);
-                continue; // other slots hold the cache; retry next step
-            }
-
-            let t = self.clock;
-            let throttled = engine.apply_faults_at(t);
-            let gpu_fp = engine.gpu_fingerprint();
-            let arch = &self.arch;
-            let prec = self.prec;
-            let busy;
-            let energy_j;
-            if !prefilled && produced0 == 0 {
-                // The slot's very first placement: a true prompt prefill
-                // (cache hits skip their share, as at admission).
-                let suffix_tokens = prompt_tokens - cached_tokens;
-                let det = engine.deterministic_phase(
-                    self.key(gpu_fp, PhaseKind::Prefill, 1, suffix_tokens),
-                    &arch.calib.prefill,
-                    |plan| build_prefill_into(plan, arch, prec, 1, suffix_tokens),
-                );
-                let mut prefill = engine.perturb(&det);
-                if let Some(s) = self.slots[slot_idx].as_mut() {
-                    if throttled {
-                        engine.counters_mut().throttled_phases += 1;
-                        s.throttled_s += prefill.latency_s;
-                    }
-                    fold_stalls(engine, t, &mut prefill);
-                    s.prefill = prefill;
-                    s.prefilled = true;
-                }
-                busy = prefill.latency_s;
-                energy_j = prefill.energy_j;
-            } else {
-                // Context recomputation: a batch-1 prefill-shaped pass over
-                // the lost *private* context, once per recovered sequence —
-                // the shared prefix stayed pinned in the tree, so preempted
-                // sequences never recompute it.
-                let lost = ctx0 - shared_tokens;
-                let det = engine.deterministic_phase(
-                    self.key(gpu_fp, PhaseKind::Prefill, 1, lost),
-                    &arch.calib.prefill,
-                    |plan| build_prefill_into(plan, arch, prec, 1, lost),
-                );
-                let mut recompute = engine.perturb(&det).repeated(seqs.len());
-                let recovered = lost * seqs.len();
-                engine.counters_mut().recomputed_tokens += recovered as u64;
-                if throttled {
-                    engine.counters_mut().throttled_phases += 1;
-                }
-                if let Some(s) = self.slots[slot_idx].as_mut() {
-                    if throttled {
-                        s.throttled_s += recompute.latency_s;
-                    }
-                    fold_stalls(engine, t, &mut recompute);
-                    s.recomputed_tokens += recovered;
-                    if recompute.latency_s > 0.0 {
-                        s.decode.merge(&recompute);
-                    }
-                }
-                busy = recompute.latency_s;
-                energy_j = recompute.energy_j;
-            }
-            self.clock += busy;
-            engine.feed_governance(energy_j, t, self.clock);
-            if busy > 0.0 {
-                self.charge_wait(busy, slot_idx);
-            }
-            self.cohorts.push(Cohort {
-                slot: slot_idx,
-                prompt_tokens,
-                max_new_tokens,
-                produced: produced0,
-                shared_tokens,
-                seqs,
-            });
+            self.place(engine, slot_idx, count, produced);
         }
-        Ok(())
     }
 
     /// Evicts the youngest live sequence (tail of the youngest cohort) to
@@ -761,8 +682,13 @@ impl BatchStepper {
     fn evict_youngest(&mut self, engine: &mut InferenceEngine) -> Result<(), EngineError> {
         let total: usize = self.cohorts.iter().map(|c| c.seqs.len()).sum();
         if total <= 1 {
-            // Unreachable per the admission invariant (a single sequence
-            // always fits end to end) — but never spin on it.
+            // Admission only checks that one sequence fits the whole cache
+            // end to end. Under PreemptRecompute with prefix caching the
+            // tree can still hold every block a lone sequence needs to
+            // grow, unevictable because preempted and waiting groups keep
+            // their slots' prefix pins (ROADMAP.md item 3's reproducer
+            // fails 42 of its 44 failing steps here). Fail the step rather
+            // than spin.
             return Err(EngineError::OutOfMemory {
                 needed: 0,
                 available: self.kv.free_tokens() * self.kv.bytes_per_token(),
@@ -811,10 +737,12 @@ impl BatchStepper {
                 retired: Vec::new(),
             });
         }
-        self.readmit_waiting(engine)?;
+        self.readmit_waiting(engine);
         if self.cohorts.is_empty() {
-            // Nothing live and nothing placeable: the cache is empty, so
-            // this means a waiting group exceeds device capacity.
+            // Nothing live and nothing placeable: a waiting group exceeds
+            // device capacity, or the prefix tree holds the blocks it needs
+            // under pins no eviction can release (ROADMAP.md item 3's
+            // reproducer fails 2 of its 44 failing steps here).
             return Err(EngineError::OutOfMemory {
                 needed: 0,
                 available: self.kv.free_tokens() * self.kv.bytes_per_token(),
@@ -929,55 +857,36 @@ impl BatchStepper {
         let mut slot_share = std::mem::take(&mut self.share_scratch);
         slot_share.clear();
         slot_share.resize(self.slots.len(), 0.0);
-        if m == 1 {
-            // Single cohort (every step of a drained run): the slot takes
-            // the whole iteration, unsplit.
-            let (ctx, _) = ctx_dets[0];
-            let slot_idx = self.cohorts[0].slot;
-            if let Some(s) = self.slots[slot_idx].as_mut() {
+        // Split the perturbed iteration by each cohort's share of the
+        // deterministic energy (attention + its share of the base), so
+        // per-request totals still sum to the iteration. A lone cohort
+        // (every step of a drained run) takes `w / w = 1.0` exactly: the
+        // whole iteration, unsplit.
+        let mut weights = std::mem::take(&mut self.weight_scratch);
+        weights.clear();
+        weights.extend(ctx_dets.iter().zip(&self.cohorts).map(|((_, det), c)| {
+            det.energy_j + base_det.energy_j * (c.seqs.len() as f64 / n_total as f64)
+        }));
+        let wsum: f64 = weights.iter().sum();
+        for ((&(ctx, _), c), &w) in ctx_dets.iter().zip(&self.cohorts).zip(&weights) {
+            let frac = if wsum > 0.0 { w / wsum } else { 1.0 / m as f64 };
+            let share = scaled(&step, frac);
+            if let Some(s) = self.slots[c.slot].as_mut() {
                 s.trace.push(TbtSample {
                     ctx,
-                    tbt_s: step.latency_s,
+                    tbt_s: share.latency_s,
                 });
                 if throttled {
-                    s.throttled_s += span;
+                    s.throttled_s += span * frac;
                 }
-                s.decode.merge(&step.repeated(chunk));
+                s.decode.merge(&share.repeated(chunk));
                 if stall_s > 0.0 {
-                    s.decode.merge(&idle_gap(stall_s, idle_w));
+                    s.decode.merge(&idle_gap(stall_s * frac, idle_w));
                 }
             }
-            slot_share[slot_idx] = 1.0;
-        } else {
-            // Mixed batch: split the perturbed iteration by each cohort's
-            // share of the deterministic energy (attention + its share of
-            // the base), so per-request totals still sum to the iteration.
-            let mut weights = std::mem::take(&mut self.weight_scratch);
-            weights.clear();
-            weights.extend(ctx_dets.iter().zip(&self.cohorts).map(|((_, det), c)| {
-                det.energy_j + base_det.energy_j * (c.seqs.len() as f64 / n_total as f64)
-            }));
-            let wsum: f64 = weights.iter().sum();
-            for ((&(ctx, _), c), &w) in ctx_dets.iter().zip(&self.cohorts).zip(&weights) {
-                let frac = if wsum > 0.0 { w / wsum } else { 1.0 / m as f64 };
-                let share = scaled(&step, frac);
-                if let Some(s) = self.slots[c.slot].as_mut() {
-                    s.trace.push(TbtSample {
-                        ctx,
-                        tbt_s: share.latency_s,
-                    });
-                    if throttled {
-                        s.throttled_s += span * frac;
-                    }
-                    s.decode.merge(&share.repeated(chunk));
-                    if stall_s > 0.0 {
-                        s.decode.merge(&idle_gap(stall_s * frac, idle_w));
-                    }
-                }
-                slot_share[c.slot] += frac;
-            }
-            self.weight_scratch = weights;
+            slot_share[c.slot] += frac;
         }
+        self.weight_scratch = weights;
         let busy = span + stall_s;
         for oi in 0..self.order.len() {
             let i = self.order[oi];
@@ -1184,9 +1093,9 @@ fn idle_gap(latency_s: f64, idle_w: f64) -> PhaseStats {
 
 /// Folds the kernel stalls that start inside the busy segment `phase`
 /// occupies from `t` into it, as idle-power time. Every busy segment
-/// charges the stalls that start inside it: the admission prefill, a
-/// readmission prefill or recompute pass (here) and a decode step (split
-/// across its cohorts in [`BatchStepper::step`]).
+/// charges the stalls that start inside it: a placement's prompt prefill
+/// or recompute pass (here) and a decode step (split across its cohorts in
+/// [`BatchStepper::step`]).
 fn fold_stalls(engine: &mut InferenceEngine, t: f64, phase: &mut PhaseStats) {
     let stall_s = engine.charge_stalls(t, t + phase.latency_s);
     if stall_s > 0.0 {
