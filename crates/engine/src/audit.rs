@@ -154,9 +154,10 @@ pub fn audit_classes(
 }
 
 /// Audits a full [`ClusterReport`]: the fleet serving ledger, the energy
-/// split across replicas (hedge losers, partition voids and brown-outs
-/// must book their joules exactly once), the robustness counters, and the
-/// per-class breakdown when admission control ran.
+/// split across replicas (hedge losers and the work that partitions,
+/// crashes, brown-outs and stuck steps void must book their joules exactly
+/// once), the robustness counters, and the per-class breakdown when
+/// admission control ran.
 #[must_use]
 pub fn audit_cluster(
     cfg: &ServingConfig,

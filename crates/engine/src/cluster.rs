@@ -509,8 +509,10 @@ pub struct ClusterReport {
     /// Breakers that closed again after passing their half-open probes.
     #[serde(default)]
     pub breaker_rejoins: usize,
-    /// Fleet energy total, joules (duplicates `fleet.energy_j` for the
-    /// conservation auditor's ledger check against the per-replica split).
+    /// Fleet energy total, joules: every joule the replicas drew, on
+    /// completed and voided work alike (cancelled hedge losers, and slots
+    /// voided by crashes, brown-outs, partitions and stuck steps). The
+    /// conservation auditor checks it against the per-replica split.
     #[serde(default)]
     pub fleet_energy_j: f64,
     /// Per-replica energy bookings, joules. Sums to `fleet_energy_j`.
@@ -928,7 +930,14 @@ pub(crate) fn run_fleet<S: Source>(
         };
         if let Some((start, recovery, crashed)) = outage {
             reps[r].outages.push((start, recovery));
-            for id in reps[r].stepper.fail_all() {
+            // The voided work drew real power: book it exactly once, here,
+            // as the partition block books its cancellations.
+            let (failed, spent) = reps[r].stepper.fail_all();
+            fleet.energy += spent;
+            if let Some(acc) = rep_accs.get_mut(r) {
+                acc.energy += spent;
+            }
+            for id in failed {
                 let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
                     continue;
                 };
@@ -1396,8 +1405,14 @@ pub(crate) fn run_fleet<S: Source>(
             Err(_) => {
                 // The whole batch is stuck (e.g. an unplaceable waiting
                 // group): fail this replica's slots into the retry
-                // machinery; hedge twins elsewhere keep their queries.
-                for id in rep.stepper.fail_all() {
+                // machinery; hedge twins elsewhere keep their queries. The
+                // failed slots' joules are booked like a crash's.
+                let (failed, spent) = rep.stepper.fail_all();
+                fleet.energy += spent;
+                if let Some(acc) = rep_accs.get_mut(r) {
+                    acc.energy += spent;
+                }
+                for id in failed {
                     let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
                         continue;
                     };

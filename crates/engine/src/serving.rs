@@ -501,7 +501,10 @@ pub struct ServingReport {
     pub p95_latency_s: f64,
     /// Mean admitted batch size.
     pub avg_batch: f64,
-    /// Mean energy per query, joules.
+    /// Energy booked per completed query, joules: every joule the device
+    /// drew on the stream, completed or voided work alike (cancelled hedge
+    /// losers, and slots voided by crashes, brown-outs, partitions and
+    /// stuck steps), over the completed count; zero when none completed.
     pub energy_per_query_j: f64,
     /// Total wall time, seconds.
     pub wall_s: f64,

@@ -197,7 +197,7 @@ fn simulate_serving_continuous_reference(
             Err(_) => {
                 // The whole batch is stuck (e.g. an unplaceable waiting
                 // group): fail every live slot and run the retry machinery.
-                let failed_ids = stepper.fail_all();
+                let (failed_ids, _) = stepper.fail_all();
                 for id in failed_ids {
                     let Some(pos) = live.iter().position(|s| s.id == id) else {
                         continue;

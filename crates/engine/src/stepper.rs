@@ -1039,10 +1039,12 @@ impl BatchStepper {
         Some(s.prefill.energy_j + s.decode.energy_j)
     }
 
-    /// Abandons every unretired request (scheduler recovery after a stuck
-    /// [`step`](Self::step)), releasing all KV state. Returns the failed
-    /// slot handles.
-    pub fn fail_all(&mut self) -> Vec<SlotId> {
+    /// Abandons every unretired request (a replica outage, or scheduler
+    /// recovery after a stuck [`step`](Self::step)), releasing all KV
+    /// state. Returns the failed slot handles and the energy those slots
+    /// had already accrued, joules: as with [`cancel`](Self::cancel), the
+    /// voided work drew real power and the caller books it.
+    pub fn fail_all(&mut self) -> (Vec<SlotId>, f64) {
         for mut c in self.cohorts.drain(..) {
             for &seq in &c.seqs {
                 let _ = self.kv.release(seq);
@@ -1052,12 +1054,12 @@ impl BatchStepper {
         }
         self.waiting.clear();
         // Admission order, as the pre-slab ascending-index walk produced.
-        let failed = self
-            .order
-            .iter()
-            .filter_map(|&i| self.slots[i].as_ref())
-            .map(|s| s.id)
-            .collect();
+        let mut failed = Vec::with_capacity(self.order.len());
+        let mut spent_j = 0.0;
+        for s in self.order.iter().filter_map(|&i| self.slots[i].as_ref()) {
+            failed.push(s.id);
+            spent_j += s.prefill.energy_j + s.decode.energy_j;
+        }
         // Failed slots drop their prefix pins too; the tree itself stays
         // warm for whatever the scheduler admits next.
         for i in 0..self.slots.len() {
@@ -1068,7 +1070,7 @@ impl BatchStepper {
         self.slots.clear();
         self.order.clear();
         self.free.clear();
-        failed
+        (failed, spent_j)
     }
 }
 

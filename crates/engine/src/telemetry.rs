@@ -154,7 +154,9 @@ impl Distribution {
 /// once.
 #[derive(Debug, Clone, Default)]
 pub struct ServingAccumulator {
-    /// Total GPU+host energy booked, joules (includes cancelled work).
+    /// Total GPU+host energy booked, joules. Includes cancelled and voided
+    /// work: hedge losers, and slots voided by crashes, brown-outs,
+    /// partitions and stuck steps.
     pub(crate) energy: f64,
     /// Total generated tokens.
     pub(crate) tokens: f64,

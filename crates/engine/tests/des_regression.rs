@@ -635,14 +635,14 @@ fn golden_fleets() -> Vec<(ClusterConfig, ServingConfig)> {
 /// Fingerprints of the full [`ClusterReport`](edgereasoning_engine::ClusterReport)
 /// of each [`golden_fleets`] run, seeded `11 + index`.
 const GOLDEN_FLEET: [u64; 8] = [
-    0x94a8_c37b_1cf2_30f9,
-    0xd643_2262_7617_7472,
+    0x471f_a2ec_f161_c4cb,
+    0x9f3e_41f6_bfa4_b350,
     0xc427_eadc_69be_a69b,
-    0xf24d_c301_ea91_2429,
+    0x79b1_ebcd_16ba_5e6d,
     0xa499_8b77_a7af_43b4,
-    0x6f0b_7420_8a18_2bb0,
+    0xe7b0_152b_6495_6d30,
     0x3fbf_fb32_ed71_bf88,
-    0x06f0_2186_36db_8656,
+    0x4e1a_cd74_d628_1796,
 ];
 
 #[test]

@@ -172,13 +172,13 @@ fn golden_runs() -> Vec<(usize, usize, ClusterReport)> {
 /// Fingerprints of the full [`ClusterReport`] of each [`golden_fleets`]
 /// run: row per fleet, column per seed of [`SEEDS`].
 const GOLDEN: [[u64; 2]; 7] = [
-    [0x400d_879e_3c3e_bdc3, 0x57de_e8e7_2a20_07f7],
+    [0xf1f6_5ea6_1b1c_87a5, 0x1779_9064_7301_90d2],
     [0x7709_423f_9234_38e6, 0x0f45_50f7_8d1a_1ef5],
     [0x07a4_778e_b345_b705, 0xed10_f5bf_fe83_6300],
-    [0x523d_6be5_60c2_03df, 0x72ef_ff9f_bf91_8329],
+    [0xaa0f_4bfd_67f2_e238, 0x2bab_7094_5031_698a],
     [0x6e67_58cb_589e_2c3d, 0xa219_14a8_18bb_7553],
-    [0x1136_a586_ea2f_11eb, 0xec67_75f6_50b7_bee6],
-    [0x4036_966d_1b5d_90b3, 0x0626_ad5f_7caf_4057],
+    [0xaa39_89ad_06d8_f56c, 0x340b_beb6_9f58_29b0],
+    [0x5f30_4f20_dc4f_e31e, 0x4f99_c7fd_e074_47bc],
 ];
 
 #[test]
@@ -221,4 +221,57 @@ fn every_fleet_mechanism_fires_in_the_grid() {
     ];
     let quiet: Vec<_> = fired.iter().filter(|(_, n)| *n == 0).collect();
     assert!(quiet.is_empty(), "mechanisms that never fired: {quiet:?}");
+}
+
+/// A brown-out voids the batch it interrupts, and the joules that batch
+/// drew are booked: one replica on a 20 J battery that never recharges
+/// browns out during its only batch, so the report books some energy, and
+/// no more than the governor saw the device draw.
+#[test]
+fn brownout_voided_work_books_its_joules() {
+    let battery = GovernanceConfig::default()
+        .with_trip(10_000.0, 9_000.0)
+        .with_battery(BatteryConfig {
+            capacity_j: 20.0,
+            ..BatteryConfig::default()
+        });
+    let cluster = ClusterConfig::new(1, EngineConfig::vllm().with_governance(battery));
+    let cfg = ServingConfig::new(2.0, 1, 1, 128, 512);
+    let report = simulate_cluster(&cluster, MODEL, Precision::Fp16, &cfg, 7).expect("runs");
+    let drawn_j = report.governance.expect("governed").energy_drawn_j;
+    assert!(report.brownout_events > 0, "the battery never browned out");
+    assert!(
+        report.fleet_energy_j > 0.0 && report.fleet_energy_j <= drawn_j,
+        "booked {} J of the {drawn_j} J drawn",
+        report.fleet_energy_j
+    );
+}
+
+/// Crash-voided work is booked beside the completions: with crashes that
+/// void sequences, the fleet's energy exceeds what its completed queries
+/// (the class breakdown) account for by more than summation rounding.
+#[test]
+fn crash_voided_work_books_its_joules() {
+    let cluster = ClusterConfig::new(2, EngineConfig::vllm()).with_crashes(CrashConfig {
+        mtbf_s: 25.0,
+        mttr_s: 10.0,
+        cold_start_s: 5.0,
+    });
+    let cfg = ServingConfig::new(1.5, 8, 40, 128, 128)
+        .with_retries(4, 0.5)
+        .with_admission(AdmissionConfig::fifo(PriorityMix::EDGE_MIX, 1));
+    let report = simulate_cluster(&cluster, MODEL, Precision::Fp16, &cfg, 11).expect("runs");
+    let completed_j: f64 = report
+        .classes
+        .expect("admission control reports classes")
+        .classes
+        .iter()
+        .map(|c| c.energy_j)
+        .sum();
+    assert!(report.crash_lost > 0, "no crash voided any work");
+    assert!(
+        report.fleet_energy_j > completed_j * (1.0 + 1e-9),
+        "booked {} J, completions alone {completed_j} J",
+        report.fleet_energy_j
+    );
 }

@@ -146,9 +146,9 @@ const GOLDEN: [[u64; GOLDEN_CONFIGS]; 15] = [
         0xc730_17cb_1dc6_9abe,
     ],
     [
-        0xf9f6_a0f6_01fa_9d9e,
+        0x6239_2d80_a2de_d2be,
         MOVED, // see `session_wall_clock_is_the_last_busy_instant_under_preemption`
-        0xffb9_779e_fdad_3a7e,
+        0x8f11_9c71_025c_1cfa,
         0x6222_749c_e882_dfc7,
         0x9124_3d19_b921_fb7c,
     ],
