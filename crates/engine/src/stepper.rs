@@ -10,17 +10,12 @@
 //! # `run` is one drained admission
 //!
 //! [`InferenceEngine::run`] admits its request into a fresh stepper at the
-//! engine's clock and steps until it retires. The one serving loop (the
-//! fleet loop of [`crate::cluster`]) admits into each replica's stepper
-//! under one of two admission rules: gang scheduling, where a busy replica
-//! has no room so each batch drains before the next admission, and
-//! continuous batching, where admissions join the running batch at an
-//! iteration boundary. Standalone generations and every served request
-//! thus execute the same code. Admission and the readmission of waiting
-//! (preempted or never-placed) groups share one placement routine: it
-//! allocates the sequences that fit, queues the rest, and charges the
-//! slot's prompt prefill or a recompute pass as one busy segment. The
-//! stepper drives the engine's phase machinery: deterministic
+//! engine's clock and steps until it retires, and the one serving loop
+//! ([`crate::cluster`]'s fleet loop) admits into running steppers under
+//! gang scheduling (a busy replica has no room) or continuous batching, so
+//! standalone generations and every served request execute the same code.
+//! Admission and readmission share one placement routine. The stepper
+//! drives the engine's phase machinery: deterministic
 //! roofline aggregates memoized in the
 //! [`PhasePlanCache`](crate::plan_cache::PhasePlanCache), *exactly one*
 //! stochastic perturbation draw per phase, the decode-base memo,
@@ -458,16 +453,16 @@ impl BatchStepper {
                 .min(req.prompt_tokens.saturating_sub(1) / self.kv.block_tokens())
         };
 
-        let (mut shared_tokens, mut cached_tokens, mut prefix_path) = (0, 0, None);
-        if share_limit > 0 {
+        let (shared_tokens, cached_tokens, prefix_path) = if share_limit > 0 {
             // Pin the resident prefix first (protecting it from eviction),
             // then extend the tree with the shareable remainder.
             let cache = self.prefix.get_or_insert_with(Default::default);
             let acq = cache.acquire(&mut self.kv, &prefix[..share_limit], req.batch as u32);
-            shared_tokens = acq.resident_blocks * self.kv.block_tokens();
-            cached_tokens = acq.hit_blocks * self.kv.block_tokens();
-            prefix_path = acq.handle;
-        }
+            let bt = self.kv.block_tokens();
+            (acq.resident_blocks * bt, acq.hit_blocks * bt, acq.handle)
+        } else {
+            (0, 0, None)
+        };
         // Admission feasibility: FailFast reserves every sequence's private
         // suffix (prompt tail + full output growth) on top of the live
         // slots' outstanding growth; PreemptRecompute needs one sequence to
@@ -580,6 +575,8 @@ impl BatchStepper {
             return; // other slots hold the cache; retry next step
         }
 
+        // Batch 1 either way: a batch shares one prompt (the paper's setup),
+        // and a recompute pass runs once per placed sequence.
         let t = self.clock;
         let throttled = engine.apply_faults_at(t);
         let gpu_fp = engine.gpu_fingerprint();
@@ -591,18 +588,14 @@ impl BatchStepper {
             |plan| build_prefill_into(plan, arch, prec, 1, tokens),
         );
         let mut phase = engine.perturb(&det);
-        let recovered = if first {
-            0
-        } else {
+        let recovered = if first { 0 } else { tokens * seqs.len() };
+        if !first {
             phase = phase.repeated(seqs.len());
-            engine.counters_mut().recomputed_tokens += (tokens * seqs.len()) as u64;
-            tokens * seqs.len()
-        };
-        if throttled {
-            engine.counters_mut().throttled_phases += 1;
+            engine.counters_mut().recomputed_tokens += recovered as u64;
         }
         if let Some(s) = self.slots[slot_idx].as_mut() {
             if throttled {
+                engine.counters_mut().throttled_phases += 1;
                 s.throttled_s += phase.latency_s;
             }
             fold_stalls(engine, t, &mut phase);
@@ -682,13 +675,10 @@ impl BatchStepper {
     fn evict_youngest(&mut self, engine: &mut InferenceEngine) -> Result<(), EngineError> {
         let total: usize = self.cohorts.iter().map(|c| c.seqs.len()).sum();
         if total <= 1 {
-            // Admission only checks that one sequence fits the whole cache
-            // end to end. Under PreemptRecompute with prefix caching the
-            // tree can still hold every block a lone sequence needs to
-            // grow, unevictable because preempted and waiting groups keep
-            // their slots' prefix pins (ROADMAP.md item 3's reproducer
-            // fails 42 of its 44 failing steps here). Fail the step rather
-            // than spin.
+            // Admission only checks that one sequence fits the empty cache:
+            // prefix pins that preempted and waiting groups keep can leave a
+            // lone sequence no room to grow (ROADMAP.md item 3's reproducer,
+            // 42 of its 44 failing steps). Fail rather than spin.
             return Err(EngineError::OutOfMemory {
                 needed: 0,
                 available: self.kv.free_tokens() * self.kv.bytes_per_token(),
@@ -740,9 +730,8 @@ impl BatchStepper {
         self.readmit_waiting(engine);
         if self.cohorts.is_empty() {
             // Nothing live and nothing placeable: a waiting group exceeds
-            // device capacity, or the prefix tree holds the blocks it needs
-            // under pins no eviction can release (ROADMAP.md item 3's
-            // reproducer fails 2 of its 44 failing steps here).
+            // capacity, or pinned prefix blocks fill the cache (ROADMAP.md
+            // item 3's reproducer, 2 of its 44 failing steps).
             return Err(EngineError::OutOfMemory {
                 needed: 0,
                 available: self.kv.free_tokens() * self.kv.bytes_per_token(),
