@@ -10,7 +10,7 @@
 //!   governor forces DVFS down-steps, and decode lengthens — emergent
 //!   derate onset, not a scripted fault.
 //! * `battery` — a battery-constrained duty cycle on a one-replica fleet:
-//!   the same load against no recharge, a 10 W trickle charger, and a
+//!   the same load against no recharge, a 5 W trickle charger, and a
 //!   solar half-sine. Brown-outs void in-flight work into the failover
 //!   machinery and the device resumes once charge passes `resume_frac`.
 //! * `heatwave` — "survive the heat wave": a three-replica fleet at 30 W

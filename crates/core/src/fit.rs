@@ -59,8 +59,8 @@ fn matrix_scale<const N: usize>(a: &[[f64; N]; N]) -> f64 {
 }
 
 /// Solves the linear system `A·x = b` by Gaussian elimination with partial
-/// pivoting. Returns `None` for singular systems (pivot below
-/// [`PIVOT_RTOL`] relative to the largest input entry).
+/// pivoting. Returns `None` for singular systems (pivot below `1e-12`
+/// relative to the largest input entry).
 ///
 /// # Panics
 ///
@@ -377,8 +377,8 @@ fn log_tail_fits(xs: &[f64], ys: &[f64]) -> Vec<Option<(f64, f64, f64)>> {
 /// the data range when that is better.
 ///
 /// Runs in O(n log n) (the sort dominates): prefix sums give the constant
-/// side's mean and SSE in O(1) per split, and [`log_tail_fits`] gives the
-/// log side in O(1) per split.
+/// side's mean and SSE in O(1) per split, and one right-to-left pass of
+/// log-tail suffix fits gives the log side in O(1) per split.
 pub fn fit_const_log(x: &[f64], y: &[f64]) -> Option<PiecewiseConstLog> {
     if x.len() != y.len() || x.len() < 4 || x.iter().any(|&v| v <= 0.0) {
         return None;
@@ -476,7 +476,7 @@ impl LambdaGrid {
         })
     }
 
-    /// The `i`-th of the [`N_LAMBDA`] geometrically spaced candidates.
+    /// The `i`-th of the 240 geometrically spaced candidates.
     pub fn at(&self, i: usize) -> f64 {
         self.lo * (self.hi / self.lo).powf(i as f64 / (N_LAMBDA - 1) as f64)
     }
@@ -578,8 +578,8 @@ enum ExpLogBest {
 ///
 /// The search runs in O(λ·n): per λ candidate one prefix pass builds the
 /// exponential sufficient statistics, after which every split is an O(1)
-/// closed-form solve; the log tails are prefitted once by
-/// [`log_tail_fits`]. A golden-section refinement then polishes λ inside
+/// closed-form solve; the log tails are prefitted once, in one
+/// right-to-left suffix pass. A golden-section refinement then polishes λ inside
 /// its bracketing grid interval (the grid pins λ to ~4% otherwise).
 pub fn fit_exp_log(x: &[f64], y: &[f64]) -> Option<PiecewiseExpLog> {
     if x.len() != y.len() || x.len() < 7 {

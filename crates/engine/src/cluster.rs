@@ -12,12 +12,14 @@
 //!   [`Down`](ReplicaHealth::Down) (inside a crash window); admission
 //!   prefers healthy, least-loaded replicas (most free KV-cache tokens,
 //!   capacity-gated via `would_fit_capacity`);
-//! * **failover** — a [`FaultKind::DeviceCrash`] window zeroes the
-//!   replica's KV cache and voids every in-flight sequence; voided
-//!   sequences re-enter the queue with their retry/backoff budget and are
-//!   recomputed on a surviving replica (counted as `crash_lost` /
-//!   `crash_recovered`, distinct from OOM preemptions); the restart pays a
-//!   cold-start penalty on top of the repair window;
+//! * **failover** — a
+//!   [`FaultKind::DeviceCrash`](edgereasoning_soc::faults::FaultKind::DeviceCrash)
+//!   window zeroes the replica's KV cache and voids every in-flight
+//!   sequence; voided sequences re-enter the queue with their
+//!   retry/backoff budget and are recomputed on a surviving replica
+//!   (counted as `crash_lost` / `crash_recovered`, distinct from OOM
+//!   preemptions); the restart pays a cold-start penalty on top of the
+//!   repair window;
 //! * **request hedging** — an admitted request outstanding (since
 //!   arrival) longer than `hedge_factor ×` the fleet's running (EWMA)
 //!   latency estimate is cloned onto a second replica; the first copy to
@@ -494,8 +496,8 @@ pub struct ClusterReport {
     /// the engine config enables closed-loop governance.
     pub governance: Option<GovernanceStats>,
     /// Router↔replica partition windows the router actually detected (the
-    /// replica looked Up but stopped answering; detection costs
-    /// [`PARTITION_DETECT_S`] of wall clock).
+    /// replica looked Up but stopped answering; detection costs 0.75 s of
+    /// wall clock, the router's partition timeout).
     #[serde(default)]
     pub partition_events: usize,
     /// In-flight sequences voided by detected partitions and re-queued

@@ -258,8 +258,10 @@ impl InferenceEngine {
     }
 
     /// Positions the engine on the simulated wall clock (what disturbance
-    /// windows are matched against). The serving loop advances this before
-    /// every batch; standalone runs default to `t = 0`.
+    /// windows are matched against). Only [`run`](Self::run) reads it: a
+    /// standalone generation starts here, at `t = 0` by default. Serving
+    /// never moves it: each replica's stepper matches the windows against
+    /// its own clock.
     pub fn set_clock_s(&mut self, t: f64) {
         self.clock_s = t;
     }

@@ -8,7 +8,8 @@
 //! system prompts across users. [`simulate_serving_sessions`] serves such
 //! traces — each [`SessionRequest`] carries its own prompt length, output
 //! budget and block-granular prefix signature — admitting through
-//! [`BatchStepper::admit_prefixed`] so shared prefixes hit the radix
+//! [`BatchStepper::admit_prefixed`](crate::stepper::BatchStepper::admit_prefixed)
+//! so shared prefixes hit the radix
 //! prefix cache ([`crate::prefix_cache`]) and pay prefill only for the
 //! un-cached suffix.
 //!

@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings, e.g. broken intra-doc links, fail CI)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
