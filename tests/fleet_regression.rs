@@ -7,7 +7,8 @@
 //! failover requeues after crashes, brown-outs and partitions. Any change to
 //! how a fleet routes, admits, voids, retries or books its queries shows up
 //! as a changed hash. A coverage check keeps the grid honest: every
-//! mechanism it names must fire somewhere in it.
+//! mechanism it names must fire somewhere in it. Two ledger tests check
+//! that work voided by a brown-out or a crash books the joules it drew.
 
 use edgereasoning::engine::cluster::BreakerConfig;
 use edgereasoning::engine::engine::{EngineConfig, OomPolicy};
