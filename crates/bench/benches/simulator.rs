@@ -293,6 +293,36 @@ fn bench_prefix_cache(c: &mut Criterion) {
             acq.resident_blocks
         });
     });
+    // One agent session per iteration: a fresh fork off a resident
+    // 32-block template, then seven turns that each re-send the growing
+    // chain with about 14 new blocks, acquired and released like the
+    // stepper does; a 1,024-block pool keeps the tree evicting cold chains.
+    g.bench_function("session_chain_turns", |b| {
+        let blocks = 1024u64;
+        let bytes = blocks * 16 * arch.kv_bytes_per_token();
+        let mut kv = KvCacheManager::new(&arch, bytes, 16).expect("kv");
+        let mut cache = PrefixCache::new();
+        let template: Vec<u64> = (0..32).map(|b| 0x7e3a_0000 + b).collect();
+        let mut chain: Vec<u64> = Vec::with_capacity(32 + 7 * 15);
+        let mut session = 0u64;
+        b.iter(|| {
+            session += 1;
+            chain.clear();
+            chain.extend_from_slice(&template);
+            let mut hits = 0;
+            for turn in 0..7u64 {
+                let base = chain.len() as u64;
+                let new_blocks = 13 + turn % 3;
+                chain.extend((base..base + new_blocks).map(|j| (session << 32) | j));
+                let acq = cache.acquire(&mut kv, black_box(&chain), 1);
+                if let Some(h) = acq.handle {
+                    cache.release(h, 1);
+                }
+                hits += acq.hit_blocks;
+            }
+            hits
+        });
+    });
     // Pure lookup against 10k resident sequences (a 4-block shared stem
     // fanning out into 10k private leaves): the router's warm-replica
     // peek, no mutation.

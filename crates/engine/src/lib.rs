@@ -78,6 +78,8 @@ pub mod kv_cache;
 pub mod outcome;
 pub mod plan_cache;
 pub mod prefix_cache;
+#[cfg(test)]
+mod prefix_cache_reference;
 pub mod request;
 pub mod serving;
 #[cfg(test)]

@@ -10,19 +10,27 @@
 //! * **Matching** is block-aligned: a request reuses the longest contiguous
 //!   path of already-resident blocks from the root. Matched blocks skip
 //!   prefill entirely — the stepper charges latency/energy only for the
-//!   un-cached suffix.
+//!   un-cached suffix. A node keeps its first child inline and a sorted
+//!   vector only for further children, so a unary session chain allocates
+//!   nothing and the walk touches one node per block.
 //! * **Sharing** is refcounted: every live request pins its whole matched +
-//!   inserted path (one refcount per batched sequence). Pinned blocks can
-//!   never be evicted, and a parent's refcount always dominates its
-//!   children's, so a zero-ref node implies a fully unpinned subtree.
+//!   inserted path (one pin per batched sequence). The pin is stored once,
+//!   on the path's deepest node; a block is pinned when a pinned node lies
+//!   in its subtree, so release is O(1) and only a leaf's own pins decide
+//!   whether it can be evicted. [`PrefixHandle`] carries the path length,
+//!   so [`PrefixCache::outstanding_pins`] still counts pins × blocks.
 //! * **Copy-on-write at the divergence block:** only *full* prompt blocks
 //!   enter the tree. The first block where a request diverges from the
 //!   cached path — including the partial last block of every prompt — is
 //!   allocated privately through [`KvCacheManager::allocate`], so writers
 //!   never mutate shared state; they copy into their own tail.
-//! * **Eviction** is LRU over zero-ref leaves. Evicting a leaf may expose
-//!   its parent as a new zero-ref leaf, so cascaded eviction can reclaim an
-//!   entire cold path, deepest block first.
+//! * **Eviction** is LRU over unpinned leaves. A block's stamp is the
+//!   latest release of a path through it. Release stamps only the deepest
+//!   node; evicting a leaf folds its stamp into its parent, which rebuilds
+//!   the parent's stamp before the parent can become a leaf. Evicting a
+//!   leaf may expose its parent as a new unpinned leaf, so cascaded
+//!   eviction can reclaim an entire cold path, deepest block first; an
+//!   exposed parent colder than every queued candidate is taken at once.
 //!
 //! Tree-resident blocks are charged against the paged allocator exactly
 //! once via `KvCacheManager::reserve_blocks`, regardless of how many
@@ -35,7 +43,7 @@ use std::collections::BinaryHeap;
 
 use crate::kv_cache::KvCacheManager;
 
-/// Sentinel parent index for top-level (root-child) nodes.
+/// Sentinel index: no parent (a top-level block) or no child.
 const NIL: u32 = u32::MAX;
 
 /// One resident KV block in the radix tree.
@@ -45,12 +53,17 @@ struct Node {
     sig: u64,
     /// Parent node index, or [`NIL`] for top-level blocks.
     parent: u32,
-    /// Children sorted by signature for deterministic binary-search walks.
-    children: Vec<(u64, u32)>,
-    /// Live pins: one per batched sequence of each request holding the path.
-    refs: u32,
-    /// Logical LRU stamp — bumped when the node is created and when the
-    /// last pin on its path is released.
+    /// First child, matched through its own `sig`, or [`NIL`] for a leaf.
+    first: u32,
+    /// Further children sorted by signature; empty whenever `first` is
+    /// [`NIL`].
+    extra: Vec<(u64, u32)>,
+    /// Pins of the paths that end here: one per batched sequence of each
+    /// request whose acquired path this node ends.
+    pins: u32,
+    /// Logical LRU stamp: the node's creation or the latest release of a
+    /// path ending here, raised by every evicted child's stamp. Once the
+    /// node is an unpinned leaf, that is the latest release through it.
     last_use: u64,
     /// Slot generation, bumped on free so stale heap entries and handles
     /// never resolve to a recycled slot.
@@ -65,6 +78,8 @@ struct Node {
 pub struct PrefixHandle {
     deepest: u32,
     gen: u32,
+    /// Blocks on the pinned path.
+    len: u32,
 }
 
 /// Outcome of [`PrefixCache::acquire`].
@@ -90,12 +105,12 @@ pub struct PrefixCacheStats {
     pub miss_blocks: u64,
     /// Blocks newly inserted into the tree.
     pub inserted_blocks: u64,
-    /// Blocks evicted (LRU zero-ref leaves).
+    /// Blocks evicted (LRU unpinned leaves).
     pub evicted_blocks: u64,
 }
 
 /// Refcounted radix/prefix tree of resident KV blocks. See the module docs
-/// for matching, refcount, copy-on-write and eviction rules.
+/// for matching, pinning, copy-on-write and eviction rules.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixCache {
     nodes: Vec<Node>,
@@ -106,12 +121,9 @@ pub struct PrefixCache {
     tick: u64,
     /// Live tree blocks (each holds one reserved KV block).
     resident: u64,
-    /// Live tree blocks with `refs == 0` (reclaimable via cascaded leaf
-    /// eviction — the refcount dominance invariant makes the two equal).
-    unpinned: u64,
-    /// Sum of `refs` over live nodes; drains to zero when no request holds
-    /// a path (the conservation property tests pin this).
-    total_refs: u64,
+    /// Pins × path blocks over the held paths; drains to zero when no
+    /// request holds a path (the conservation property tests pin this).
+    total_pins: u64,
     /// Lazy min-heap of `(last_use, idx, gen)` eviction candidates; entries
     /// are validated on pop, so stale stamps are simply discarded.
     heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
@@ -131,18 +143,38 @@ impl PrefixCache {
         self.resident
     }
 
-    /// Blocks that could be reclaimed right now by evicting zero-ref
+    /// Blocks that could be reclaimed right now by evicting unpinned
     /// paths — the admission headroom on top of the allocator's free space.
+    /// O(1) when no path is pinned, otherwise a scan of the tree.
     #[must_use]
     pub fn evictable_blocks(&self) -> u64 {
-        self.unpinned
+        if self.total_pins == 0 {
+            return self.resident;
+        }
+        // A block is pinned when a pinned node lies in its subtree: mark
+        // each pinned node's path to the root, stopping at a marked node.
+        let mut pinned = vec![false; self.nodes.len()];
+        let mut count = 0;
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !node.live || node.pins == 0 {
+                continue;
+            }
+            let mut idx = i as u32;
+            while idx != NIL && !pinned[idx as usize] {
+                pinned[idx as usize] = true;
+                count += 1;
+                idx = self.nodes[idx as usize].parent;
+            }
+        }
+        self.resident - count
     }
 
     /// Outstanding pins across all live nodes (zero once every admitted
-    /// request has retired, cancelled or failed).
+    /// request has retired, cancelled or failed): each held path counts
+    /// its pins once per block.
     #[must_use]
     pub fn outstanding_pins(&self) -> u64 {
-        self.total_refs
+        self.total_pins
     }
 
     /// Cache behaviour counters.
@@ -156,117 +188,110 @@ impl PrefixCache {
     /// cannot perturb eviction order.
     #[must_use]
     pub fn match_blocks(&self, sigs: &[u64]) -> usize {
-        let mut matched = 0;
-        let mut children: &[(u64, u32)] = &self.roots;
-        for &sig in sigs {
-            match children.binary_search_by_key(&sig, |&(s, _)| s) {
-                Ok(pos) => {
-                    let idx = children[pos].1;
-                    matched += 1;
-                    children = &self.nodes[idx as usize].children;
-                }
-                Err(_) => break,
-            }
-        }
-        matched
+        self.walk(sigs).1
     }
 
-    /// Pins the longest resident prefix of `sigs` (with `count` refs per
-    /// block, one per batched sequence) and then extends the path with the
-    /// remaining signatures, reserving one KV block per new node through
-    /// `kv` and evicting cold paths on demand. Insertion stops early — and
-    /// the acquired path stays shorter — if no block can be freed.
+    /// Pins the longest resident prefix of `sigs` (with `count` pins, one
+    /// per batched sequence) and then extends the path with the remaining
+    /// signatures, reserving one KV block per new node through `kv` and
+    /// evicting cold paths on demand. Insertion stops early — and the
+    /// acquired path stays shorter — if no block can be freed.
     pub fn acquire(&mut self, kv: &mut KvCacheManager, sigs: &[u64], count: u32) -> Acquired {
+        // The pin on the deepest matched node is what protects the matched
+        // path from the evictions insertion may trigger.
+        debug_assert!(count > 0, "a zero-count acquire leaves its path unpinned");
         self.stats.lookups += 1;
-        // Walk and pin the resident prefix.
-        let mut deepest = NIL;
-        let mut hit = 0;
-        loop {
-            let children = if deepest == NIL {
-                &self.roots
-            } else {
-                &self.nodes[deepest as usize].children
-            };
-            let Some(&sig) = sigs.get(hit) else { break };
-            match children.binary_search_by_key(&sig, |&(s, _)| s) {
-                Ok(pos) => {
-                    deepest = children[pos].1;
-                    hit += 1;
-                    self.pin(deepest, count);
-                }
-                Err(_) => break,
-            }
-        }
+        let (mut deepest, hit) = self.walk(sigs);
         self.stats.hit_blocks += hit as u64;
         self.stats.miss_blocks += (sigs.len() - hit) as u64;
-        // Extend with the un-cached remainder while blocks can be reserved.
+        if deepest != NIL {
+            self.nodes[deepest as usize].pins += count;
+        }
+        // Extend with the un-cached remainder while blocks can be reserved;
+        // the pin moves down onto each inserted node.
         let mut inserted = 0;
         for &sig in &sigs[hit..] {
             if !kv.reserve_blocks(1) && (self.evict(kv, 1) == 0 || !kv.reserve_blocks(1)) {
                 break;
+            }
+            if deepest != NIL {
+                self.nodes[deepest as usize].pins -= count;
             }
             deepest = self.insert_child(deepest, sig, count);
             inserted += 1;
         }
         self.stats.inserted_blocks += inserted as u64;
         let resident_blocks = hit + inserted;
+        let len = u32::try_from(resident_blocks).unwrap_or(NIL);
+        self.total_pins += u64::from(count) * u64::from(len);
         Acquired {
             hit_blocks: hit,
             resident_blocks,
             handle: (resident_blocks > 0).then(|| PrefixHandle {
                 deepest,
                 gen: self.nodes[deepest as usize].gen,
+                len,
             }),
         }
     }
 
-    /// Releases `count` pins from every block on the handle's path. Newly
-    /// zero-ref leaves become LRU eviction candidates stamped with the
+    /// Releases `count` pins from the handle's path in O(1). A newly
+    /// unpinned leaf becomes an LRU eviction candidate stamped with the
     /// release time.
     pub fn release(&mut self, handle: PrefixHandle, count: u32) {
         let stamp = self.next_tick();
-        let mut idx = handle.deepest;
+        let node = &mut self.nodes[handle.deepest as usize];
         debug_assert!(
-            self.nodes[idx as usize].live && self.nodes[idx as usize].gen == handle.gen,
+            node.live && node.gen == handle.gen,
             "release of a stale prefix handle"
         );
-        while idx != NIL {
-            let node = &mut self.nodes[idx as usize];
-            debug_assert!(node.refs >= count, "unbalanced prefix unpin");
-            node.refs = node.refs.saturating_sub(count);
-            node.last_use = stamp;
-            self.total_refs = self.total_refs.saturating_sub(u64::from(count));
-            if node.refs == 0 {
-                self.unpinned += 1;
-                if node.children.is_empty() {
-                    self.heap.push(Reverse((stamp, idx, node.gen)));
-                }
-            }
-            idx = node.parent;
+        debug_assert!(node.pins >= count, "unbalanced prefix unpin");
+        node.pins = node.pins.saturating_sub(count);
+        node.last_use = stamp;
+        self.total_pins = self
+            .total_pins
+            .saturating_sub(u64::from(count) * u64::from(handle.len));
+        if node.pins == 0 && node.first == NIL {
+            self.heap.push(Reverse((stamp, handle.deepest, node.gen)));
         }
     }
 
-    /// Evicts up to `want` blocks, coldest zero-ref leaves first, returning
+    /// Evicts up to `want` blocks, coldest unpinned leaves first, returning
     /// each to `kv` via `unreserve_blocks`. Returns the number evicted
     /// (possibly zero when everything resident is pinned).
     pub fn evict(&mut self, kv: &mut KvCacheManager, want: u64) -> u64 {
         let mut evicted = 0;
         while evicted < want {
-            let Some(Reverse((stamp, idx, gen))) = self.heap.pop() else {
+            let Some(Reverse((stamp, mut idx, gen))) = self.heap.pop() else {
                 break;
             };
             let node = &self.nodes[idx as usize];
             let valid = node.live
                 && node.gen == gen
-                && node.refs == 0
-                && node.children.is_empty()
+                && node.pins == 0
+                && node.first == NIL
                 && node.last_use == stamp;
             if !valid {
                 continue;
             }
-            self.remove_leaf(idx);
-            kv.unreserve_blocks(1);
-            evicted += 1;
+            // Cascade up the exposed ancestors. Each is taken at once when
+            // its key is below the heap's top, the order a push and pop
+            // would give; otherwise it waits in the heap.
+            loop {
+                let exposed = self.remove_leaf(idx);
+                kv.unreserve_blocks(1);
+                evicted += 1;
+                let Some(parent) = exposed else { break };
+                let p = &self.nodes[parent as usize];
+                let key = (p.last_use, parent, p.gen);
+                let coldest = self.heap.peek().is_none_or(|Reverse(top)| key < *top);
+                if evicted < want && coldest {
+                    idx = parent;
+                } else {
+                    self.heap.push(Reverse(key));
+                    break;
+                }
+            }
         }
         self.stats.evicted_blocks += evicted;
         evicted
@@ -277,17 +302,43 @@ impl PrefixCache {
         self.tick
     }
 
-    fn pin(&mut self, idx: u32, count: u32) {
-        let node = &mut self.nodes[idx as usize];
-        if node.refs == 0 {
-            self.unpinned -= 1;
+    /// The child of `parent` (the root set when `parent == NIL`) whose
+    /// signature is `sig`.
+    fn child(&self, parent: u32, sig: u64) -> Option<u32> {
+        let children = if parent == NIL {
+            &self.roots
+        } else {
+            let node = &self.nodes[parent as usize];
+            if node.first != NIL && self.nodes[node.first as usize].sig == sig {
+                return Some(node.first);
+            }
+            &node.extra
+        };
+        children
+            .binary_search_by_key(&sig, |&(s, _)| s)
+            .ok()
+            .map(|pos| children[pos].1)
+    }
+
+    /// The deepest node of the longest resident prefix of `sigs` ([`NIL`]
+    /// when none) and that prefix's length in blocks.
+    fn walk(&self, sigs: &[u64]) -> (u32, usize) {
+        let mut deepest = NIL;
+        let mut matched = 0;
+        for &sig in sigs {
+            match self.child(deepest, sig) {
+                Some(idx) => {
+                    deepest = idx;
+                    matched += 1;
+                }
+                None => break,
+            }
         }
-        node.refs += count;
-        self.total_refs += u64::from(count);
+        (deepest, matched)
     }
 
     /// Allocates a node for `sig` under `parent` (or the root set when
-    /// `parent == NIL`), already pinned with `count` refs.
+    /// `parent == NIL`), already pinned with `count` pins.
     fn insert_child(&mut self, parent: u32, sig: u64, count: u32) -> u32 {
         let stamp = self.next_tick();
         let idx = match self.free_list.pop() {
@@ -295,8 +346,9 @@ impl PrefixCache {
                 let node = &mut self.nodes[idx as usize];
                 node.sig = sig;
                 node.parent = parent;
-                node.children.clear();
-                node.refs = count;
+                node.first = NIL;
+                node.extra.clear();
+                node.pins = count;
                 node.last_use = stamp;
                 node.live = true;
                 idx
@@ -307,8 +359,9 @@ impl PrefixCache {
                 self.nodes.push(Node {
                     sig,
                     parent,
-                    children: Vec::new(),
-                    refs: count,
+                    first: NIL,
+                    extra: Vec::new(),
+                    pins: count,
                     last_use: stamp,
                     gen: 0,
                     live: true,
@@ -316,53 +369,52 @@ impl PrefixCache {
                 idx
             }
         };
+        self.resident += 1;
+        // The signature cannot already be a child: acquire only inserts
+        // after the walk failed to find it.
         let children = if parent == NIL {
             &mut self.roots
         } else {
-            &mut self.nodes[parent as usize].children
+            let p = &mut self.nodes[parent as usize];
+            if p.first == NIL {
+                p.first = idx;
+                return idx;
+            }
+            &mut p.extra
         };
-        match children.binary_search_by_key(&sig, |&(s, _)| s) {
-            // The signature cannot already be present: acquire only inserts
-            // after the walk failed to find it.
-            Ok(pos) => children[pos] = (sig, idx),
-            Err(pos) => children.insert(pos, (sig, idx)),
-        }
-        self.resident += 1;
-        self.total_refs += u64::from(count);
-        if count == 0 {
-            self.unpinned += 1;
-            let gen = self.nodes[idx as usize].gen;
-            self.heap.push(Reverse((stamp, idx, gen)));
+        if let Err(pos) = children.binary_search_by_key(&sig, |&(s, _)| s) {
+            children.insert(pos, (sig, idx));
         }
         idx
     }
 
-    /// Frees a zero-ref leaf, unlinking it from its parent; if that leaves
-    /// the parent a zero-ref leaf, the parent becomes the next candidate.
-    fn remove_leaf(&mut self, idx: u32) {
-        let (sig, parent) = {
+    /// Frees an unpinned leaf, unlinking it from its parent and folding
+    /// its stamp into the parent's. Returns the parent when that leaves it
+    /// an unpinned leaf: the next eviction candidate.
+    fn remove_leaf(&mut self, idx: u32) -> Option<u32> {
+        let (sig, parent, stamp) = {
             let node = &mut self.nodes[idx as usize];
             node.live = false;
             node.gen = node.gen.wrapping_add(1);
-            (node.sig, node.parent)
+            (node.sig, node.parent, node.last_use)
         };
-        let children = if parent == NIL {
-            &mut self.roots
-        } else {
-            &mut self.nodes[parent as usize].children
-        };
-        if let Ok(pos) = children.binary_search_by_key(&sig, |&(s, _)| s) {
-            children.remove(pos);
-        }
         self.free_list.push(idx);
         self.resident -= 1;
-        self.unpinned -= 1;
-        if parent != NIL {
-            let p = &self.nodes[parent as usize];
-            if p.live && p.refs == 0 && p.children.is_empty() {
-                self.heap.push(Reverse((p.last_use, parent, p.gen)));
+        if parent == NIL {
+            if let Ok(pos) = self.roots.binary_search_by_key(&sig, |&(s, _)| s) {
+                self.roots.remove(pos);
             }
+            return None;
         }
+        let p = &mut self.nodes[parent as usize];
+        if p.first == idx {
+            // Promote a further child, if any, to the inline slot.
+            p.first = p.extra.pop().map_or(NIL, |(_, child)| child);
+        } else if let Ok(pos) = p.extra.binary_search_by_key(&sig, |&(s, _)| s) {
+            p.extra.remove(pos);
+        }
+        p.last_use = p.last_use.max(stamp);
+        (p.pins == 0 && p.first == NIL).then_some(parent)
     }
 }
 
@@ -464,6 +516,229 @@ mod tests {
         assert_eq!(b.resident_blocks, 2);
         assert_eq!(tree.outstanding_pins(), 6);
         tree.release(b.handle.expect("pinned"), 3);
+        assert_eq!(tree.outstanding_pins(), 0);
+    }
+
+    /// Differential oracle: random operation sequences run through this
+    /// tree and through the tree as it shipped with whole-path pins
+    /// (`prefix_cache_reference`); every observable agrees after every
+    /// operation. Sequences mix shared template stems, session forks,
+    /// batch counts 1–4, re-acquisition of paths that were partly evicted,
+    /// and KV pools small enough that `acquire` itself must evict.
+    #[test]
+    fn matches_the_whole_path_pin_reference() {
+        use crate::prefix_cache_reference::{ReferenceHandle, ReferencePrefixCache};
+        use edgereasoning_soc::Rng;
+
+        // Coverage: acquires that evicted, and partial hits.
+        let (mut evicting_acquires, mut partial_hits) = (0, 0);
+        for case in 0..600u64 {
+            let mut rng = Rng::seed_from_u64(0x9e3c_0000 + case);
+            let pool = 4 + rng.range_usize(40) as u64;
+            let (mut kv_new, mut kv_ref) = (kv(pool), kv(pool));
+            let mut tree = PrefixCache::new();
+            let mut oracle = ReferencePrefixCache::new();
+            let mut held: Vec<(PrefixHandle, ReferenceHandle, u32)> = Vec::new();
+            let mut seen: Vec<Vec<u64>> = Vec::new();
+            let ops = 20 + rng.range_usize(80);
+            for op in 0..ops {
+                let ctx = format!("case {case} op {op}");
+                match rng.range_usize(10) {
+                    // Acquire: a fresh stem-and-fork signature, or a past one.
+                    0..=4 => {
+                        let sigs = if !seen.is_empty() && rng.chance(0.35) {
+                            let past = &seen[rng.range_usize(seen.len())];
+                            past[..rng.range_usize(past.len() + 1)].to_vec()
+                        } else {
+                            let stem = rng.range_usize(3) as u64;
+                            let fork = rng.range_usize(5) as u64;
+                            let stem_len = rng.range_usize(7);
+                            let tail_len = rng.range_usize(9);
+                            (0..stem_len as u64)
+                                .map(|j| (stem << 16) | j)
+                                .chain(
+                                    (0..tail_len as u64).map(|j| 0x1_0000_0000 | (fork << 16) | j),
+                                )
+                                .collect()
+                        };
+                        let count = 1 + rng.range_usize(4) as u32;
+                        let evicted = tree.stats().evicted_blocks;
+                        let a = tree.acquire(&mut kv_new, &sigs, count);
+                        let b = oracle.acquire(&mut kv_ref, &sigs, count);
+                        evicting_acquires += usize::from(tree.stats().evicted_blocks > evicted);
+                        partial_hits += usize::from(a.hit_blocks > 0 && a.hit_blocks < sigs.len());
+                        assert_eq!(
+                            (a.hit_blocks, a.resident_blocks, a.handle.is_some()),
+                            (b.hit_blocks, b.resident_blocks, b.handle.is_some()),
+                            "{ctx}: acquire {sigs:?}"
+                        );
+                        if let (Some(h), Some(r)) = (a.handle, b.handle) {
+                            held.push((h, r, count));
+                        }
+                        seen.push(sigs);
+                    }
+                    5..=7 if !held.is_empty() => {
+                        let (h, r, count) = held.swap_remove(rng.range_usize(held.len()));
+                        tree.release(h, count);
+                        oracle.release(r, count);
+                    }
+                    8 => {
+                        let want = rng.range_usize(7) as u64;
+                        assert_eq!(
+                            tree.evict(&mut kv_new, want),
+                            oracle.evict(&mut kv_ref, want),
+                            "{ctx}: evict {want}"
+                        );
+                    }
+                    _ => {
+                        if let Some(past) = seen.last() {
+                            assert_eq!(
+                                tree.match_blocks(past),
+                                oracle.match_blocks(past),
+                                "{ctx}: match"
+                            );
+                        }
+                    }
+                }
+                assert_same(&tree, &oracle, &kv_new, &kv_ref, &ctx);
+            }
+            for (h, r, count) in held.drain(..) {
+                tree.release(h, count);
+                oracle.release(r, count);
+                assert_same(
+                    &tree,
+                    &oracle,
+                    &kv_new,
+                    &kv_ref,
+                    &format!("case {case} drain"),
+                );
+            }
+            assert_eq!(tree.outstanding_pins(), 0);
+            assert_eq!(
+                tree.evict(&mut kv_new, u64::MAX),
+                oracle.evict(&mut kv_ref, u64::MAX)
+            );
+            assert_same(
+                &tree,
+                &oracle,
+                &kv_new,
+                &kv_ref,
+                &format!("case {case} end"),
+            );
+            assert_eq!(tree.resident_blocks(), 0);
+            assert_eq!(kv_new.free_blocks(), pool);
+        }
+        assert!(
+            evicting_acquires > 1_000,
+            "{evicting_acquires} acquires evicted"
+        );
+        assert!(partial_hits > 1_000, "{partial_hits} partial hits");
+    }
+
+    fn assert_same(
+        tree: &PrefixCache,
+        oracle: &crate::prefix_cache_reference::ReferencePrefixCache,
+        kv_new: &KvCacheManager,
+        kv_ref: &KvCacheManager,
+        ctx: &str,
+    ) {
+        assert_eq!(tree.stats(), oracle.stats(), "{ctx}: stats");
+        assert_eq!(
+            tree.outstanding_pins(),
+            oracle.outstanding_pins(),
+            "{ctx}: pins"
+        );
+        assert_eq!(
+            tree.resident_blocks(),
+            oracle.resident_blocks(),
+            "{ctx}: resident"
+        );
+        assert_eq!(
+            tree.evictable_blocks(),
+            oracle.evictable_blocks(),
+            "{ctx}: evictable"
+        );
+        assert_eq!(kv_new.free_blocks(), kv_ref.free_blocks(), "{ctx}: free");
+    }
+
+    /// A unary chain keeps each child inline: inserting a cold 1,000-block
+    /// session chain allocates only for the node slab's doubling.
+    #[test]
+    fn unary_chains_allocate_only_the_slab() {
+        let mut kv = kv(2048);
+        let mut tree = PrefixCache::new();
+        let chain: Vec<u64> = (0..1000).collect();
+        let before = crate::alloc_counter::thread_allocs();
+        let acq = tree.acquire(&mut kv, &chain, 1);
+        let allocs = crate::alloc_counter::thread_allocs() - before;
+        assert_eq!(acq.resident_blocks, 1000);
+        assert!(allocs <= 16, "{allocs} allocations for one chain");
+        tree.release(acq.handle.expect("pinned"), 1);
+    }
+
+    /// The allocation budget of DESIGN.md §14 for the tree: once warm,
+    /// session-chain turns allocate nothing. A resident template is held
+    /// for the whole run; three sessions fork from it and each turn
+    /// extends one session's chain by 14 blocks, releases it, and evicts
+    /// to keep a turn's worth of blocks free on a pool the chains
+    /// overflow, so `acquire` evicts too.
+    #[test]
+    fn warm_session_chain_turns_allocate_nothing() {
+        const TEMPLATE: u64 = 8;
+        const TURN: u64 = 14;
+        const TURNS: u64 = 6;
+        let mut kv = kv(96);
+        let mut tree = PrefixCache::new();
+        let template: Vec<u64> = (0..TEMPLATE).collect();
+        let held = tree.acquire(&mut kv, &template, 1);
+        let mut chains: Vec<Vec<u64>> = (0..3)
+            .map(|_| Vec::with_capacity((TEMPLATE + TURN * TURNS) as usize))
+            .collect();
+        let mut next_session = 0u64;
+        let mut turn = |tree: &mut PrefixCache, kv: &mut KvCacheManager, cycle: u64| {
+            let chain = &mut chains[(cycle % 3) as usize];
+            if chain.len() as u64 >= TEMPLATE + TURN * TURNS || chain.is_empty() {
+                // The session ends; a new one opens on the template.
+                next_session += 1;
+                chain.clear();
+                chain.extend_from_slice(&template);
+            }
+            let base = chain.len() as u64;
+            chain.extend((base..base + TURN).map(|j| (next_session << 32) | j));
+            let acq = tree.acquire(kv, chain, 1);
+            if let Some(h) = acq.handle {
+                tree.release(h, 1);
+            }
+            let free = kv.free_blocks();
+            if free < TURN {
+                tree.evict(kv, TURN - free);
+            }
+            acq.hit_blocks
+        };
+        for cycle in 0..400 {
+            turn(&mut tree, &mut kv, cycle);
+        }
+        let warm = tree.stats();
+        let before = crate::alloc_counter::thread_allocs();
+        let mut hits = 0;
+        for cycle in 400..600 {
+            hits += turn(&mut tree, &mut kv, cycle);
+        }
+        assert_eq!(
+            crate::alloc_counter::thread_allocs() - before,
+            0,
+            "warm session-chain turns must not allocate"
+        );
+        let window = tree.stats();
+        assert!(hits > 0, "chains hit their earlier turns");
+        // More than a turn's worth of blocks re-inserted per turn: evicted
+        // chain tails come back, past the free blocks, so acquire evicts.
+        assert!(window.inserted_blocks - warm.inserted_blocks > 200 * TURN);
+        assert!(
+            window.evicted_blocks > warm.evicted_blocks,
+            "the window evicts"
+        );
+        tree.release(held.handle.expect("pinned"), 1);
         assert_eq!(tree.outstanding_pins(), 0);
     }
 

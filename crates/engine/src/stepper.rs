@@ -273,9 +273,10 @@ impl BatchStepper {
         self.kv.capacity_tokens()
     }
 
-    /// Tokens reclaimable right now by evicting zero-ref prefix-tree paths.
-    /// *Effective* free space for admission and shedding decisions is
-    /// [`kv_free_tokens`](Self::kv_free_tokens) plus this.
+    /// Tokens reclaimable right now by evicting unpinned prefix-tree
+    /// paths: [`kv_free_tokens`](Self::kv_free_tokens) plus this is the
+    /// *effective* free space. O(1) once no path is pinned (the drain
+    /// audit); otherwise a scan of the tree.
     pub fn kv_evictable_tokens(&self) -> u64 {
         self.prefix
             .as_ref()

@@ -174,14 +174,64 @@ impl Rng {
 /// (e.g. which "CUTLASS kernel variant" a GEMM shape selects). Unlike draws
 /// from [`Rng`], the value depends only on the inputs, never on call order.
 pub fn stable_hash(values: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in values {
-        for byte in v.to_le_bytes() {
+    values
+        .iter()
+        .fold(StableHasher::new(), |h, &v| h.with(v))
+        .finish()
+}
+
+/// The streaming form of [`stable_hash`]: FNV-1a over the little-endian
+/// bytes of each word, absorbed one word at a time. A hasher that has
+/// absorbed a common head can be copied and extended many times, so keys
+/// sharing that head cost only their own tail words.
+///
+/// # Example
+///
+/// ```
+/// use edgereasoning_soc::rng::{stable_hash, StableHasher};
+///
+/// let head = StableHasher::new().with(1).with(2);
+/// assert_eq!(head.with(3).finish(), stable_hash(&[1, 2, 3]));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StableHasher {
+    h: u64,
+}
+
+impl StableHasher {
+    /// The state of a hasher that has absorbed nothing.
+    #[must_use]
+    #[inline]
+    pub const fn new() -> Self {
+        Self {
+            h: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    /// The state after also absorbing `word`.
+    #[must_use]
+    #[inline]
+    pub fn with(self, word: u64) -> Self {
+        let mut h = self.h;
+        for byte in word.to_le_bytes() {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
+        Self { h }
     }
-    h
+
+    /// The hash of every word absorbed so far.
+    #[must_use]
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.h
+    }
+}
+
+impl Default for StableHasher {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// A minimal FxHash-style [`std::hash::Hasher`] (rotate–xor–multiply per
@@ -341,6 +391,28 @@ mod tests {
         let u = stable_unit(&[42, 7]);
         assert!((-1.0..=1.0).contains(&u));
         assert_eq!(u, stable_unit(&[42, 7]));
+    }
+
+    #[test]
+    fn streaming_hash_matches_stable_hash_on_the_concatenation() {
+        let mut rng = Rng::seed_from_u64(21);
+        for len in 0..12 {
+            let words: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            for split in 0..=len {
+                let head = words[..split]
+                    .iter()
+                    .fold(StableHasher::new(), |h, &w| h.with(w));
+                let whole = words[split..].iter().fold(head, |h, &w| h.with(w));
+                assert_eq!(
+                    whole.finish(),
+                    stable_hash(&words),
+                    "split {split} of {len}"
+                );
+            }
+        }
+        assert_eq!(StableHasher::default().finish(), stable_hash(&[]));
+        // The FNV-1a reference value of eight zero bytes.
+        assert_eq!(stable_hash(&[0]), 0xa8c7_f832_281a_39c5);
     }
 
     #[test]

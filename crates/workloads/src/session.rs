@@ -18,12 +18,22 @@
 //!
 //! [`SessionGen`] emits such a trace lazily in global arrival order with
 //! memory proportional to the number of *concurrent* sessions, not the
-//! trace length — a 10^6-turn study never materializes the trace. Each
+//! trace length — a 10^6-turn study never materializes the trace: live
+//! sessions sit in a slab whose finished slots are reused. Each
 //! [`SessionTurn`] carries a block-granular prefix signature compatible
 //! with the engine's radix prefix cache: one `u64` per full KV block,
 //! template-owned blocks hashed from the template identity (shared across
 //! sessions) and history blocks from the session identity (shared across
-//! that session's turns only).
+//! that session's turns only). Block `j` of template `t` is
+//! `stable_hash(&[0, t, j])`, and history block `j` of session `s` under
+//! trace seed `seed` is `stable_hash(&[1, seed, s, j])`.
+//!
+//! A live session keeps its shared-context signature and extends it by
+//! each turn's new full blocks only, so a turn hashes O(new blocks), not
+//! O(context): template blocks are hashed once, when the session opens,
+//! history blocks hash from a cached `[1, seed, session]` hasher state,
+//! and the blocks of a turn's fresh user message are never hashed (they
+//! are private to that turn until the reply joins the context).
 //!
 //! # Example
 //!
@@ -41,7 +51,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use edgereasoning_soc::rng::stable_hash;
+use edgereasoning_soc::rng::StableHasher;
 use edgereasoning_soc::{item_seed, Rng};
 
 /// One request of a session trace: a turn of some session, with its
@@ -204,20 +214,29 @@ impl SessionMixConfig {
 #[derive(Debug, Clone)]
 struct LiveSession {
     rng: Rng,
-    template: usize,
     turns_left: usize,
     next_turn: usize,
     /// Tokens of context accumulated so far (template + history).
     context_tokens: usize,
+    /// Hasher state after `[1, seed, session]`: history block `j` is this
+    /// state extended by `j`.
+    history: StableHasher,
+    /// Signature of the context's full blocks so far. It only grows while
+    /// the session lives, and its buffer passes to the next session that
+    /// takes this slab slot.
+    prefix: Vec<u64>,
 }
 
 /// A pending emission, ordered by arrival. Ties break on session index so
 /// the order is total and seed-stable (f64 bits are a valid total order
-/// here because all arrivals are finite and non-negative).
+/// here because all arrivals are finite and non-negative). `slot` is the
+/// session's slab index; it comes after `session`, which is unique among
+/// pending entries, so it never decides the order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Pending {
     arrival_bits: u64,
     session: usize,
+    slot: usize,
 }
 
 /// Lazy generator of globally arrival-sorted [`SessionTurn`]s.
@@ -225,7 +244,8 @@ struct Pending {
 /// Session starts are a Poisson process; each session is an independent
 /// RNG stream (seeded via [`item_seed`]) so the trace is insensitive to
 /// interleaving. Memory is `O(concurrent sessions)`: a binary heap of
-/// next-turn events plus one live record per unfinished session.
+/// next-turn events plus a slab of live records, one per unfinished
+/// session, whose finished slots are reused.
 #[derive(Debug, Clone)]
 pub struct SessionGen {
     cfg: SessionMixConfig,
@@ -233,7 +253,9 @@ pub struct SessionGen {
     next_start_s: f64,
     started: usize,
     heap: BinaryHeap<Reverse<Pending>>,
-    live: Vec<Option<LiveSession>>,
+    live: Vec<LiveSession>,
+    /// Slab indices of finished sessions, reused before `live` grows.
+    free: Vec<usize>,
 }
 
 impl SessionGen {
@@ -247,6 +269,7 @@ impl SessionGen {
             started: 0,
             heap: BinaryHeap::new(),
             live: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -263,41 +286,40 @@ impl SessionGen {
         let template = rng.range_usize(self.cfg.templates);
         let turns =
             self.cfg.min_turns + rng.range_usize(self.cfg.max_turns - self.cfg.min_turns + 1);
+        // Reuse a finished session's slab slot, and its signature buffer,
+        // when one is free.
+        let (slot, mut prefix) = match self.free.pop() {
+            Some(slot) => (slot, std::mem::take(&mut self.live[slot].prefix)),
+            None => (self.live.len(), Vec::new()),
+        };
+        // The template's full blocks, hashed once for the whole session.
+        let tmpl = StableHasher::new().with(0).with(template as u64);
+        let template_blocks = self.cfg.template_tokens / self.cfg.block_tokens;
+        prefix.clear();
+        prefix.extend((0..template_blocks).map(|j| tmpl.with(j as u64).finish()));
         let session = LiveSession {
             rng,
-            template,
             turns_left: turns,
             next_turn: 0,
             context_tokens: self.cfg.template_tokens,
+            history: StableHasher::new()
+                .with(1)
+                .with(self.cfg.seed)
+                .with(idx as u64),
+            prefix,
         };
-        if self.live.len() <= idx {
-            self.live.resize(idx + 1, None);
+        if slot == self.live.len() {
+            self.live.push(session);
+        } else {
+            self.live[slot] = session;
         }
-        self.live[idx] = Some(session);
         self.heap.push(Reverse(Pending {
             arrival_bits: self.next_start_s.to_bits(),
             session: idx,
+            slot,
         }));
         self.started += 1;
         self.next_start_s += Self::exp_gap(&mut self.starts, self.cfg.session_qps);
-    }
-
-    /// Block-granular signature of a `prompt_tokens`-long prompt whose
-    /// first `template_tokens` belong to template `template` and whose
-    /// remainder is session-private history.
-    fn signature(&self, template: usize, session: usize, prompt_tokens: usize) -> Vec<u64> {
-        let bt = self.cfg.block_tokens;
-        let full_blocks = prompt_tokens / bt;
-        let template_blocks = self.cfg.template_tokens / bt;
-        (0..full_blocks)
-            .map(|j| {
-                if j < template_blocks {
-                    stable_hash(&[0, template as u64, j as u64])
-                } else {
-                    stable_hash(&[1, self.cfg.seed, session as u64, j as u64])
-                }
-            })
-            .collect()
     }
 }
 
@@ -322,7 +344,7 @@ impl Iterator for SessionGen {
         }
         let Reverse(pending) = self.heap.pop()?;
         let arrival_s = f64::from_bits(pending.arrival_bits);
-        let slot = self.live.get_mut(pending.session)?.as_mut()?;
+        let slot = self.live.get_mut(pending.slot)?;
         let user = slot
             .rng
             .range_usize(self.cfg.max_user_tokens - self.cfg.min_user_tokens + 1)
@@ -334,11 +356,19 @@ impl Iterator for SessionGen {
         let shared_context = slot.context_tokens;
         let prompt_tokens = shared_context + user;
         let turn = slot.next_turn;
-        let template = slot.template;
+        // The signature covers only the *shared* context (template +
+        // history): extend it by the blocks the previous reply completed.
+        // The fresh user message is private to this turn.
+        let history = slot.history;
+        let shared_blocks = shared_context / self.cfg.block_tokens;
+        let known = slot.prefix.len();
+        slot.prefix
+            .extend((known..shared_blocks).map(|j| history.with(j as u64).finish()));
+        let prefix = slot.prefix.clone();
         slot.next_turn += 1;
         slot.turns_left -= 1;
         if slot.turns_left == 0 {
-            self.live[pending.session] = None;
+            self.free.push(pending.slot);
         } else {
             // The reply joins the context; the next turn arrives after a
             // think-time pause following the (approximate) reply instant.
@@ -349,14 +379,9 @@ impl Iterator for SessionGen {
             self.heap.push(Reverse(Pending {
                 arrival_bits: (arrival_s + think).to_bits(),
                 session: pending.session,
+                slot: pending.slot,
             }));
         }
-        // The signature covers only the *shared* context (template +
-        // history); the fresh user message is private to this turn.
-        let bt = self.cfg.block_tokens;
-        let shared_blocks = shared_context / bt;
-        let mut prefix = self.signature(template, pending.session, prompt_tokens);
-        prefix.truncate(shared_blocks);
         Some(SessionTurn {
             arrival_s,
             session: pending.session,
@@ -371,6 +396,7 @@ impl Iterator for SessionGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgereasoning_soc::rng::stable_hash;
 
     #[test]
     fn traces_are_sorted_and_deterministic() {
@@ -422,6 +448,78 @@ mod tests {
                 assert_eq!(*owner, t.session, "history blocks are session-private");
             }
         }
+    }
+
+    /// Every turn's signature equals the from-scratch formula of the
+    /// module docs, block by block, including a template that ends inside
+    /// a block (that block is history: session-private).
+    #[test]
+    fn signatures_match_the_from_scratch_formula() {
+        let mut ragged = SessionMixConfig::session_heavy(0.5, 60, 5);
+        ragged.template_tokens = 200;
+        for cfg in [
+            SessionMixConfig::template_heavy(0.5, 120, 9),
+            SessionMixConfig::session_heavy(0.5, 60, 13),
+            ragged,
+        ] {
+            let template_blocks = cfg.template_tokens / cfg.block_tokens;
+            // A turn shares the template plus every earlier prompt and reply.
+            let mut shared_tokens = vec![cfg.template_tokens; cfg.sessions];
+            let mut turns = 0;
+            for t in cfg.generate() {
+                // The session's template is its RNG stream's first draw.
+                let template = Rng::seed_from_u64(item_seed(cfg.seed, t.session as u64))
+                    .range_usize(cfg.templates);
+                assert_eq!(t.prefix.len(), shared_tokens[t.session] / cfg.block_tokens);
+                for (j, &sig) in t.prefix.iter().enumerate() {
+                    let want = if j < template_blocks {
+                        stable_hash(&[0, template as u64, j as u64])
+                    } else {
+                        stable_hash(&[1, cfg.seed, t.session as u64, j as u64])
+                    };
+                    assert_eq!(sig, want, "session {} turn {} block {j}", t.session, t.turn);
+                }
+                shared_tokens[t.session] = t.prompt_tokens + t.output_tokens;
+                turns += 1;
+            }
+            assert!(turns > 0);
+        }
+    }
+
+    /// The live-session slab never outgrows the trace's peak concurrency,
+    /// however many sessions the trace holds.
+    #[test]
+    fn live_sessions_are_bounded_by_peak_concurrency() {
+        let cfg = SessionMixConfig::template_heavy(0.45, 4_000, 17);
+        let mut gen = cfg.generate();
+        let turns: Vec<_> = gen.by_ref().collect();
+        let mut last = vec![0usize; cfg.sessions];
+        for (i, t) in turns.iter().enumerate() {
+            last[t.session] = i;
+        }
+        // Sessions open at their first turn and close at their last one.
+        let mut open = 0usize;
+        let mut peak = 0usize;
+        for (i, t) in turns.iter().enumerate() {
+            if t.turn == 0 {
+                open += 1;
+            }
+            peak = peak.max(open);
+            if last[t.session] == i {
+                open -= 1;
+            }
+        }
+        assert!(peak < 64, "the preset is sparse: peak {peak}");
+        assert!(
+            gen.live.len() <= peak,
+            "slab {} exceeds peak concurrency {peak}",
+            gen.live.len()
+        );
+        assert_eq!(
+            gen.free.len(),
+            gen.live.len(),
+            "every slot is free at the end"
+        );
     }
 
     #[test]

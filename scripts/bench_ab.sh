@@ -12,8 +12,10 @@
 # prints the per-pair values and change/base ratios, each side's median
 # and quartiles, the pairs the change won (ties count for neither side),
 # whether the medians differ by more than the base's interquartile range,
-# and whether the change's median stays inside the metric's bound. It then
-# prints both sides' output fingerprints and whether they match.
+# a seeded bootstrap 95% confidence interval of the median ratio
+# (median(change) / median(base), resampling whole pairs), and whether the
+# change's median stays inside the metric's bound. It then prints both
+# sides' output fingerprints and whether they match.
 #
 # Exits non-zero when any run reports "correct": false.
 set -euo pipefail
@@ -67,6 +69,7 @@ done
 
 python3 - "$results" "$pairs" "$workload" "$seed" "${rev:0:12}" <<'EOF'
 import json
+import random
 import re
 import statistics
 import sys
@@ -96,6 +99,22 @@ def quartiles(xs):
     return q1, q3
 
 
+def bootstrap_ci(base, change, resamples=10_000, seed=0x5EED):
+    """Percentile 95% CI of median(change) / median(base) over resampled pairs."""
+    rng = random.Random(seed)
+    n = len(base)
+    ratios = []
+    for _ in range(resamples):
+        idx = [rng.randrange(n) for _ in range(n)]
+        b = statistics.median(base[i] for i in idx)
+        if b:
+            ratios.append(statistics.median(change[i] for i in idx) / b)
+    if not ratios:
+        return float("nan"), float("nan")
+    ratios.sort()
+    return ratios[int(0.025 * (len(ratios) - 1))], ratios[int(0.975 * (len(ratios) - 1))]
+
+
 print(f"\nworkload {workload} seed {seed}: base {rev} vs working tree, {pairs} pairs")
 for metric in declared:
     name, higher = metric["name"], metric["better"] == "higher"
@@ -123,8 +142,10 @@ for metric in declared:
     worse = (med["base"] - med["change"]) if higher else (med["change"] - med["base"])
     within = worse <= metric["bound"] * abs(med["base"])
     ratio = med["change"] / med["base"] if med["base"] else float("nan")
+    lo, hi = bootstrap_ci(values["base"], values["change"])
     print(
-        f"  median ratio {ratio:.4f}; change won {won} of {pairs} pairs (lost {lost}); "
+        f"  median ratio {ratio:.4f} (bootstrap 95% CI {lo:.4f} .. {hi:.4f}); "
+        f"change won {won} of {pairs} pairs (lost {lost}); "
         f"|median difference| > base IQR ({iqr:.6g}): "
         f"{'yes' if abs(med['change'] - med['base']) > iqr else 'no'}; "
         f"within bound: {'yes' if within else 'NO'}"
