@@ -90,6 +90,19 @@ fn bench_dataset_eval(c: &mut Criterion) {
             )
         })
     });
+    // The vote's worst case: exact-match grading gives every failed sample
+    // its own `Other` answer, so a question's 32 votes can all differ.
+    g.bench_function("math500_voted_32x", |b| {
+        b.iter(|| {
+            evaluate(
+                ModelId::Dsr1Qwen1_5b,
+                Precision::Fp16,
+                Benchmark::Math500,
+                PromptConfig::Base,
+                EvalOptions::default().with_parallel(32),
+            )
+        })
+    });
     g.finish();
 }
 

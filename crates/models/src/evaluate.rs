@@ -8,7 +8,7 @@ use edgereasoning_workloads::prompt::PromptConfig;
 use edgereasoning_workloads::suite::Benchmark;
 use serde::{Deserialize, Serialize};
 
-use crate::generate::{majority_vote, AnswerKey, EvalContext};
+use crate::generate::{majority_vote, with_samples, AnswerKey, EvalContext};
 
 /// Evaluation options.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,7 +86,8 @@ pub struct EvalResult {
 ///
 /// # Panics
 ///
-/// Panics if `opts.parallel == 0`.
+/// Panics if `opts.parallel == 0`, or if no question is left to evaluate
+/// (`opts.subset == Some(0)`): every statistic would be 0/0.
 pub fn evaluate(
     model: ModelId,
     precision: Precision,
@@ -100,6 +101,10 @@ pub fn evaluate(
     if let Some(n) = opts.subset {
         questions.truncate(n);
     }
+    assert!(
+        !questions.is_empty(),
+        "evaluation needs at least one question"
+    );
 
     // Per-question stats, evaluated independently: each question derives its
     // own RNG stream from (seed, question index), so the fold below sees the
@@ -118,24 +123,23 @@ pub fn evaluate(
     let domain_seed = opts.seed ^ 0x00e4_24b1_d5f1_9619;
     let stats = par_map_deterministic(&questions, opts.threads, |idx, q| {
         let mut rng = Rng::seed_from_u64(item_seed(domain_seed, idx as u64));
-        let samples: Vec<_> = (0..opts.parallel)
-            .map(|_| ctx.sample(&mut rng, q))
-            .collect();
-        let mut stat = QuestionStat {
-            correct: majority_vote(&samples) == AnswerKey::Correct,
-            tok_sum: 0.0,
-            max_tokens: 0.0,
-            prompt_tokens: (q.prompt_tokens + config.prompt_overhead_tokens()) as f64,
-            unanswered: 0,
-        };
-        for s in &samples {
-            stat.tok_sum += s.tokens;
-            stat.max_tokens = stat.max_tokens.max(s.tokens);
-            if s.answer == AnswerKey::None {
-                stat.unanswered += 1;
+        with_samples(&ctx, &mut rng, q, opts.parallel, |samples| {
+            let mut stat = QuestionStat {
+                correct: majority_vote(samples) == AnswerKey::Correct,
+                tok_sum: 0.0,
+                max_tokens: 0.0,
+                prompt_tokens: (q.prompt_tokens + config.prompt_overhead_tokens()) as f64,
+                unanswered: 0,
+            };
+            for s in samples {
+                stat.tok_sum += s.tokens;
+                stat.max_tokens = stat.max_tokens.max(s.tokens);
+                if s.answer == AnswerKey::None {
+                    stat.unanswered += 1;
+                }
             }
-        }
-        stat
+            stat
+        })
     });
 
     let mut correct = 0usize;
@@ -240,6 +244,18 @@ mod tests {
         );
         assert_eq!(base.unanswered_frac, 0.0);
         assert!(base.accuracy_pct > r.accuracy_pct + 20.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one question")]
+    fn empty_subset_panics() {
+        let _ = evaluate(
+            ModelId::Dsr1Qwen1_5b,
+            Precision::Fp16,
+            Benchmark::MmluRedux,
+            PromptConfig::Base,
+            EvalOptions::default().with_subset(0),
+        );
     }
 
     #[test]

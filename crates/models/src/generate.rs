@@ -1,5 +1,7 @@
 //! Per-question answer simulation (the stochastic "model under test").
 
+use std::cell::RefCell;
+
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
 use edgereasoning_soc::rng::Rng;
@@ -9,7 +11,7 @@ use edgereasoning_workloads::suite::Benchmark;
 use serde::{Deserialize, Serialize};
 
 use crate::accuracy::{effective_law, AccuracyLaw};
-use crate::profile::{output_profile, OutputLenProfile};
+use crate::profile::{output_profile, LengthSampler, OutputLenProfile};
 
 /// The answer a sample produced, reduced to vote-equivalence classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,31 +59,41 @@ pub struct EvalContext {
     pub config: PromptConfig,
     /// Accuracy law with benchmark/quant skill adjustments folded in.
     pub law: AccuracyLaw,
-    /// Output-length profile.
+    /// Output-length profile. [`EvalContext::new`] derives the sampler
+    /// every [`EvalContext::sample`] draws from it.
     pub profile: OutputLenProfile,
+    /// `profile`'s sampler, built once per cell.
+    sampler: LengthSampler,
 }
 
 impl EvalContext {
     /// Builds the context for a cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell's profile has no valid lognormal (see
+    /// [`OutputLenProfile::sampler`]).
     pub fn new(
         model: ModelId,
         precision: Precision,
         bench: Benchmark,
         config: PromptConfig,
     ) -> Self {
+        let profile = output_profile(model, bench, config, precision);
         Self {
             model,
             precision,
             bench,
             config,
             law: effective_law(model, bench, precision),
-            profile: output_profile(model, bench, config, precision),
+            profile,
+            sampler: profile.sampler(),
         }
     }
 
     /// Samples one generation for `q`.
     pub fn sample(&self, rng: &mut Rng, q: &Question) -> AnswerSample {
-        let (tokens, completed) = self.profile.sample_emitted(rng);
+        let (tokens, completed) = self.sampler.emitted(rng);
         // Truncated generations usually lose the final answer.
         let answered = completed || rng.chance(self.law.salvage);
         if !answered {
@@ -124,7 +136,63 @@ impl EvalContext {
 /// `None` answers never receive votes; ties break toward the earliest
 /// sample, mirroring a first-seen argmax. Returns `AnswerKey::None` when
 /// no sample produced an answer.
+///
+/// Counts each answer at its first occurrence, in sample order, and
+/// replaces the pick only on strictly more votes: no table, no allocation.
+/// That costs at most k² key comparisons for k samples (an exact-match
+/// vote whose every answer differs) and stops once no answer still unseen
+/// could win.
 pub fn majority_vote(samples: &[AnswerSample]) -> AnswerKey {
+    let mut best = AnswerKey::None;
+    let mut best_votes = 0;
+    for (i, s) in samples.iter().enumerate() {
+        // An answer first seen here has at most `len - i` votes; the pick
+        // only changes on strictly more.
+        if samples.len() - i <= best_votes {
+            break;
+        }
+        let key = s.answer;
+        if key == AnswerKey::None || samples[..i].iter().any(|p| p.answer == key) {
+            continue;
+        }
+        let votes = 1 + samples[i + 1..].iter().filter(|p| p.answer == key).count();
+        if votes > best_votes {
+            best = key;
+            best_votes = votes;
+        }
+    }
+    best
+}
+
+/// Draws `k` samples of `q` into the calling thread's reusable buffer and
+/// hands them to `f` in sample order, so a question's samples allocate
+/// nothing once the buffer has grown to `k`.
+///
+/// # Panics
+///
+/// Panics if `f` draws again on the same thread (the buffer is borrowed).
+pub(crate) fn with_samples<R>(
+    ctx: &EvalContext,
+    rng: &mut Rng,
+    q: &Question,
+    k: usize,
+    f: impl FnOnce(&[AnswerSample]) -> R,
+) -> R {
+    thread_local! {
+        static SAMPLES: RefCell<Vec<AnswerSample>> = const { RefCell::new(Vec::new()) };
+    }
+    SAMPLES.with_borrow_mut(|samples| {
+        samples.clear();
+        samples.extend((0..k).map(|_| ctx.sample(rng, q)));
+        f(samples)
+    })
+}
+
+/// The vote as a table of `(votes, first index)` per answer: the form
+/// `majority_vote` had before it counted without one, kept as the oracle
+/// the differential test compares against.
+#[cfg(test)]
+fn reference_majority_vote(samples: &[AnswerSample]) -> AnswerKey {
     use std::collections::HashMap;
     let mut counts: HashMap<AnswerKey, (usize, usize)> = HashMap::new(); // key -> (votes, first_idx)
     for (i, s) in samples.iter().enumerate() {
@@ -144,6 +212,7 @@ pub fn majority_vote(samples: &[AnswerSample]) -> AnswerKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn question(difficulty: f64) -> Question {
         Question {
@@ -224,6 +293,95 @@ mod tests {
         assert_eq!(majority_vote(&[mk(None), mk(None)]), None);
         // Tie breaks toward the earlier sample.
         assert_eq!(majority_vote(&[mk(Trap), mk(Correct)]), Trap);
+    }
+
+    /// Vectors each differential case checks: the vendored runner runs 64
+    /// cases per property, so 64 × 24 = 1,536 vectors in all.
+    const VOTES_PER_CASE: usize = 24;
+
+    proptest! {
+        /// The table-free vote picks what the hash-map vote picks, on
+        /// vectors of 0–40 samples drawn three ways: keys from a 3-key
+        /// alphabet (forcing ties), random `Other` keys (all distinct), and
+        /// either with `None` mixed in, all-`None` vectors included.
+        #[test]
+        fn table_free_vote_matches_the_hash_map_vote(seed in 0u64..u64::MAX) {
+            use AnswerKey::*;
+            let mut rng = Rng::seed_from_u64(seed);
+            for case in 0..VOTES_PER_CASE {
+                let len = rng.range_usize(41);
+                // Cases cycle through {3-key, distinct} × {no None, mixed, all None}.
+                let none_p = match case % 3 {
+                    0 => 0.0,
+                    1 => rng.next_f64(),
+                    _ => 1.0,
+                };
+                let samples: Vec<AnswerSample> = (0..len)
+                    .map(|_| {
+                        let answer = if rng.chance(none_p) {
+                            None
+                        } else if case % 6 < 3 {
+                            [Correct, Trap, Other(1)][rng.range_usize(3)]
+                        } else {
+                            Other(rng.next_u64() as u32)
+                        };
+                        AnswerSample { tokens: 1.0, completed: true, answer }
+                    })
+                    .collect();
+                let (got, want) = (majority_vote(&samples), reference_majority_vote(&samples));
+                prop_assert!(got == want, "{:?} != {:?} on {:?}", got, want, samples);
+            }
+        }
+    }
+
+    #[test]
+    fn cell_sampler_draws_what_lognormal_mean_std_draws() {
+        let mut configs = PromptConfig::REASONING_SWEEP.to_vec();
+        configs.push(PromptConfig::Hard(512));
+        // A hand-built profile whose draws hit both the floor and the cap.
+        let tiny = OutputLenProfile {
+            natural_mean: 6.0,
+            cv: 0.9,
+            hard_cap: Some(9),
+        };
+        let mut profiles = vec![(tiny, None)];
+        for model in ModelId::ALL {
+            for bench in Benchmark::ALL {
+                for &config in &configs {
+                    for prec in [Precision::Fp16, Precision::W4A16] {
+                        // Builds the sampler, as `predict` does for every cell.
+                        let ctx = EvalContext::new(model, prec, bench, config);
+                        assert_eq!(ctx.sampler, ctx.profile.sampler());
+                        profiles.push((ctx.profile, Some(ctx)));
+                    }
+                }
+            }
+        }
+        assert_eq!(profiles.len(), 1 + 10 * 7 * 7 * 2);
+        let (mut floored, mut capped) = (0, 0);
+        for (i, (p, ctx)) in profiles.iter().enumerate() {
+            let sampler = ctx.map_or_else(|| p.sampler(), |c| c.sampler);
+            let mut reference = Rng::seed_from_u64(i as u64);
+            let mut natural = reference.clone();
+            let mut emitted = reference.clone();
+            for _ in 0..1000 {
+                let raw = reference.lognormal_mean_std(p.natural_mean, p.cv * p.natural_mean);
+                let want = raw.max(4.0);
+                floored += usize::from(raw < 4.0);
+                let want_emitted = match p.hard_cap {
+                    Some(cap) if want > cap as f64 => (cap as f64, false),
+                    _ => (want, true),
+                };
+                capped += usize::from(!want_emitted.1);
+                assert_eq!(sampler.natural(&mut natural).to_bits(), want.to_bits());
+                let (tokens, completed) = sampler.emitted(&mut emitted);
+                assert_eq!(
+                    (tokens.to_bits(), completed),
+                    (want_emitted.0.to_bits(), want_emitted.1)
+                );
+            }
+        }
+        assert!(floored > 0 && capped > 0, "floor {floored}, cap {capped}");
     }
 
     #[test]

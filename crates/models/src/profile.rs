@@ -9,7 +9,7 @@
 
 use edgereasoning_kernels::arch::{ModelFamily, ModelId};
 use edgereasoning_kernels::dtype::Precision;
-use edgereasoning_soc::rng::Rng;
+use edgereasoning_soc::rng::{lognormal_mu_sigma, Rng};
 use edgereasoning_soc::stats::normal_cdf;
 use edgereasoning_workloads::prompt::PromptConfig;
 use edgereasoning_workloads::suite::{Benchmark, Domain};
@@ -30,20 +30,33 @@ pub struct OutputLenProfile {
 }
 
 impl OutputLenProfile {
+    /// The profile's sampler, with the lognormal parameters derived once:
+    /// build it once per cell when drawing many lengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `natural_mean <= 0` or `cv < 0`.
+    pub fn sampler(&self) -> LengthSampler {
+        // Exactly the `(mean, std)` pair the per-draw form has always
+        // passed: `lognormal_params(natural_mean, cv)` squares `cv` itself,
+        // which can differ from `(cv·m / m)²` in the last bit.
+        let (mu, sigma) = lognormal_mu_sigma(self.natural_mean, self.cv * self.natural_mean);
+        LengthSampler {
+            mu,
+            sigma,
+            hard_cap: self.hard_cap,
+        }
+    }
+
     /// Samples one natural length (≥ 4 tokens, before any truncation).
     pub fn sample_natural(&self, rng: &mut Rng) -> f64 {
-        rng.lognormal_mean_std(self.natural_mean, self.cv * self.natural_mean)
-            .max(4.0)
+        self.sampler().natural(rng)
     }
 
     /// Samples an emitted length (after hard truncation) along with
     /// whether generation completed naturally within the cap.
     pub fn sample_emitted(&self, rng: &mut Rng) -> (f64, bool) {
-        let natural = self.sample_natural(rng);
-        match self.hard_cap {
-            Some(cap) if natural > cap as f64 => (cap as f64, false),
-            _ => (natural, true),
-        }
+        self.sampler().emitted(rng)
     }
 
     /// Expected emitted length `E[min(L, cap)]`.
@@ -62,6 +75,36 @@ impl OutputLenProfile {
                 let (mu, sigma) = lognormal_params(self.natural_mean, self.cv);
                 normal_cdf(((cap as f64).ln() - mu) / sigma)
             }
+        }
+    }
+}
+
+/// Draws output lengths of one cell: the [`OutputLenProfile`]'s lognormal
+/// with its `(mu, sigma)` derived once, the 4-token floor and the hard cap.
+/// Every draw equals, bit for bit, the profile's own `sample_*` draw from
+/// the same generator state.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LengthSampler {
+    mu: f64,
+    sigma: f64,
+    hard_cap: Option<u32>,
+}
+
+impl LengthSampler {
+    /// Samples one natural length (≥ 4 tokens, before any truncation).
+    #[inline]
+    pub fn natural(&self, rng: &mut Rng) -> f64 {
+        rng.lognormal(self.mu, self.sigma).max(4.0)
+    }
+
+    /// Samples an emitted length (after hard truncation) along with
+    /// whether generation completed naturally within the cap.
+    #[inline]
+    pub fn emitted(&self, rng: &mut Rng) -> (f64, bool) {
+        let natural = self.natural(rng);
+        match self.hard_cap {
+            Some(cap) if natural > cap as f64 => (cap as f64, false),
+            _ => (natural, true),
         }
     }
 }

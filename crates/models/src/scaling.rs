@@ -15,7 +15,7 @@ use edgereasoning_workloads::prompt::PromptConfig;
 use edgereasoning_workloads::suite::Benchmark;
 use serde::{Deserialize, Serialize};
 
-use crate::generate::{majority_vote, AnswerKey, EvalContext};
+use crate::generate::{majority_vote, with_samples, AnswerKey, EvalContext};
 
 /// Accuracy of allocating a total token budget across `k` parallel voted
 /// chains (Monte Carlo over the benchmark's questions).
@@ -31,6 +31,10 @@ pub struct AllocationPoint {
 
 /// Sweeps allocations of `total_budget` tokens over 1, 2, 4, … chains
 /// (power-of-two splits with per-chain budget ≥ 32 tokens).
+///
+/// # Panics
+///
+/// Panics if `questions == 0`: every split's accuracy would be 0/0.
 pub fn sweep_allocations(
     model: ModelId,
     prec: Precision,
@@ -39,6 +43,10 @@ pub fn sweep_allocations(
     questions: usize,
     seed: u64,
 ) -> Vec<AllocationPoint> {
+    assert!(
+        questions > 0,
+        "an allocation sweep needs at least one question"
+    );
     let qs = bench.generate_subset(seed, questions);
     let mut out = Vec::new();
     let mut k = 1usize;
@@ -49,8 +57,9 @@ pub fn sweep_allocations(
         let correct = qs
             .iter()
             .filter(|q| {
-                let samples: Vec<_> = (0..k).map(|_| ctx.sample(&mut rng, q)).collect();
-                majority_vote(&samples) == AnswerKey::Correct
+                with_samples(&ctx, &mut rng, q, k, |samples| {
+                    majority_vote(samples) == AnswerKey::Correct
+                })
             })
             .count();
         out.push(AllocationPoint {
@@ -73,6 +82,11 @@ pub fn best_allocation(points: &[AllocationPoint]) -> Option<&AllocationPoint> {
 /// Finds the total-budget crossover below/above which sequential (k=1)
 /// stops being optimal: returns the smallest swept budget at which a
 /// parallel allocation beats the sequential one.
+///
+/// # Panics
+///
+/// Panics if `questions == 0` and `budgets` is not empty (see
+/// [`sweep_allocations`]).
 pub fn sequential_parallel_crossover(
     model: ModelId,
     prec: Precision,
@@ -152,6 +166,19 @@ mod tests {
                 "splitting 128 tokens should not help: {p:?} vs seq {seq:.1}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one question")]
+    fn zero_questions_panics() {
+        let _ = sweep_allocations(
+            ModelId::Dsr1Qwen14b,
+            Precision::Fp16,
+            Benchmark::MmluRedux,
+            512,
+            0,
+            3,
+        );
     }
 
     #[test]

@@ -150,17 +150,16 @@ impl Rng {
     /// Lognormal draw parameterized by the distribution's own mean and
     /// standard deviation (moment matching), convenient for calibrating
     /// token-length distributions to published per-config averages.
+    /// Equal, bit for bit, to [`Rng::lognormal`] at
+    /// [`lognormal_mu_sigma`]`(mean, std_dev)`, which a caller drawing
+    /// many values of one distribution can derive once.
     ///
     /// # Panics
     ///
     /// Panics if `mean <= 0` or `std_dev < 0`.
     pub fn lognormal_mean_std(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(mean > 0.0, "lognormal mean must be positive");
-        assert!(std_dev >= 0.0, "standard deviation must be non-negative");
-        let cv2 = (std_dev / mean).powi(2);
-        let sigma2 = (1.0 + cv2).ln();
-        let mu = mean.ln() - 0.5 * sigma2;
-        self.lognormal(mu, sigma2.sqrt())
+        let (mu, sigma) = lognormal_mu_sigma(mean, std_dev);
+        self.lognormal(mu, sigma)
     }
 
     /// Multiplicative jitter `1 + N(0, rel)` truncated to stay positive;
@@ -168,6 +167,21 @@ impl Rng {
     pub fn jitter(&mut self, rel: f64) -> f64 {
         (1.0 + self.normal_with(0.0, rel)).max(0.05)
     }
+}
+
+/// The underlying normal's `(mu, sigma)` of the lognormal distribution with
+/// the given mean and standard deviation (moment matching): the parameters
+/// [`Rng::lognormal_mean_std`] draws with.
+///
+/// # Panics
+///
+/// Panics if `mean <= 0` or `std_dev < 0`.
+pub fn lognormal_mu_sigma(mean: f64, std_dev: f64) -> (f64, f64) {
+    assert!(mean > 0.0, "lognormal mean must be positive");
+    assert!(std_dev >= 0.0, "standard deviation must be non-negative");
+    let cv2 = (std_dev / mean).powi(2);
+    let sigma2 = (1.0 + cv2).ln();
+    (mean.ln() - 0.5 * sigma2, sigma2.sqrt())
 }
 
 /// A deterministic 64-bit hash used to derive *stable per-shape* perturbations
@@ -365,6 +379,53 @@ mod tests {
             "lognormal mean {mean} should be near 800"
         );
         assert!(xs.iter().all(|&x| x > 0.0));
+    }
+
+    #[test]
+    fn lognormal_mu_sigma_is_what_lognormal_mean_std_draws_with() {
+        // The moment matching written out as `lognormal_mean_std` inlined
+        // it before the parameters had a function of their own.
+        let inline = |mean: f64, std_dev: f64| {
+            let sigma2 = (1.0 + (std_dev / mean).powi(2)).ln();
+            (mean.ln() - 0.5 * sigma2, sigma2.sqrt())
+        };
+        let mut grid = Rng::seed_from_u64(31);
+        for i in 0..500 {
+            let mean = match i % 3 {
+                0 => grid.range_f64(1e-3, 1.0),
+                1 => grid.range_f64(1.0, 50.0),
+                _ => grid.range_f64(50.0, 2e4),
+            };
+            let std_dev = if i % 7 == 0 {
+                0.0
+            } else {
+                mean * grid.range_f64(0.0, 1.5)
+            };
+            let (mu, sigma) = lognormal_mu_sigma(mean, std_dev);
+            let (mu_ref, sigma_ref) = inline(mean, std_dev);
+            assert_eq!(mu.to_bits(), mu_ref.to_bits(), "mu at {mean}, {std_dev}");
+            assert_eq!(sigma.to_bits(), sigma_ref.to_bits());
+            let mut a = Rng::seed_from_u64(i);
+            let mut b = Rng::seed_from_u64(i);
+            for _ in 0..5 {
+                assert_eq!(
+                    a.lognormal_mean_std(mean, std_dev).to_bits(),
+                    b.lognormal(mu, sigma).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mean must be positive")]
+    fn lognormal_mu_sigma_rejects_a_zero_mean() {
+        let _ = lognormal_mu_sigma(0.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn lognormal_mu_sigma_rejects_a_negative_std() {
+        let _ = lognormal_mu_sigma(1.0, -0.5);
     }
 
     #[test]
