@@ -71,8 +71,8 @@ impl EvalContext {
     ///
     /// # Panics
     ///
-    /// Panics if the cell's profile has no valid lognormal (see
-    /// [`OutputLenProfile::sampler`]).
+    /// Panics if the cell's profile has no valid lognormal
+    /// (`natural_mean <= 0` or `cv < 0`).
     pub fn new(
         model: ModelId,
         precision: Precision,
@@ -188,9 +188,8 @@ pub(crate) fn with_samples<R>(
     })
 }
 
-/// The vote as a table of `(votes, first index)` per answer: the form
-/// `majority_vote` had before it counted without one, kept as the oracle
-/// the differential test compares against.
+/// The vote as a table of `(votes, first index)` per answer: the oracle
+/// the differential test compares `majority_vote` against.
 #[cfg(test)]
 fn reference_majority_vote(samples: &[AnswerSample]) -> AnswerKey {
     use std::collections::HashMap;

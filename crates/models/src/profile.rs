@@ -36,10 +36,10 @@ impl OutputLenProfile {
     /// # Panics
     ///
     /// Panics if `natural_mean <= 0` or `cv < 0`.
-    pub fn sampler(&self) -> LengthSampler {
-        // Exactly the `(mean, std)` pair the per-draw form has always
-        // passed: `lognormal_params(natural_mean, cv)` squares `cv` itself,
-        // which can differ from `(cv·m / m)²` in the last bit.
+    pub(crate) fn sampler(&self) -> LengthSampler {
+        // The `(mean, std)` pair, not `lognormal_params(natural_mean, cv)`:
+        // that squares `cv` itself, which can differ from `(cv·m / m)²` in
+        // the last bit and would move every draw.
         let (mu, sigma) = lognormal_mu_sigma(self.natural_mean, self.cv * self.natural_mean);
         LengthSampler {
             mu,
@@ -81,10 +81,11 @@ impl OutputLenProfile {
 
 /// Draws output lengths of one cell: the [`OutputLenProfile`]'s lognormal
 /// with its `(mu, sigma)` derived once, the 4-token floor and the hard cap.
-/// Every draw equals, bit for bit, the profile's own `sample_*` draw from
-/// the same generator state.
+/// A draw equals, bit for bit,
+/// `rng.lognormal_mean_std(natural_mean, cv * natural_mean).max(4.0)`
+/// (then capped) from the same generator state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LengthSampler {
+pub(crate) struct LengthSampler {
     mu: f64,
     sigma: f64,
     hard_cap: Option<u32>,
@@ -93,14 +94,14 @@ pub struct LengthSampler {
 impl LengthSampler {
     /// Samples one natural length (≥ 4 tokens, before any truncation).
     #[inline]
-    pub fn natural(&self, rng: &mut Rng) -> f64 {
+    pub(crate) fn natural(&self, rng: &mut Rng) -> f64 {
         rng.lognormal(self.mu, self.sigma).max(4.0)
     }
 
     /// Samples an emitted length (after hard truncation) along with
     /// whether generation completed naturally within the cap.
     #[inline]
-    pub fn emitted(&self, rng: &mut Rng) -> (f64, bool) {
+    pub(crate) fn emitted(&self, rng: &mut Rng) -> (f64, bool) {
         let natural = self.natural(rng);
         match self.hard_cap {
             Some(cap) if natural > cap as f64 => (cap as f64, false),

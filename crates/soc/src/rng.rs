@@ -383,8 +383,8 @@ mod tests {
 
     #[test]
     fn lognormal_mu_sigma_is_what_lognormal_mean_std_draws_with() {
-        // The moment matching written out as `lognormal_mean_std` inlined
-        // it before the parameters had a function of their own.
+        // The moment matching written out inline: the reference the helper
+        // must match bit for bit.
         let inline = |mean: f64, std_dev: f64| {
             let sigma2 = (1.0 + (std_dev / mean).powi(2)).ln();
             (mean.ln() - 0.5 * sigma2, sigma2.sqrt())
