@@ -3,8 +3,9 @@
 //! Golden fingerprints freeze the full report of two- and three-replica
 //! fleets, each run on two seeds. These are the runs where a replica's
 //! stepper takes work it cannot foresee: hedged clones admitted into a busy
-//! batch, hedge losers cancelled while groups wait for KV space, and
-//! failover requeues after crashes, brown-outs and partitions. Any change to
+//! batch, hedge losers cancelled while groups wait for KV space, failover
+//! requeues after crashes, brown-outs and partitions, and voided slots whose
+//! hedge twin lives on and keeps the queries. Any change to
 //! how a fleet routes, admits, voids, retries or books its queries shows up
 //! as a changed hash. A coverage check keeps the grid honest: every
 //! mechanism it names must fire somewhere in it. Two ledger tests check
@@ -61,7 +62,15 @@ fn pressured(policy: OomPolicy, kv_tokens: u64) -> EngineConfig {
 ///    target and a bounded queue;
 /// 5. two replicas on trickle-charged batteries, with hedging;
 /// 6. two FailFast replicas under memory pressure, in crash weather, with
-///    breakers.
+///    breakers;
+/// 7. three replicas in fast crash weather with eager hedging;
+/// 8. three replicas, two of them behind a flaky network domain, with
+///    eager hedging;
+/// 9. three replicas on trickle-charged batteries, with eager hedging.
+///
+/// Rows 7–9 void slots whose hedge twin is still live on another replica
+/// (by crash, partition and brown-out respectively), so the twin keeps the
+/// queries and nothing is requeued.
 fn golden_fleets() -> Vec<(ClusterConfig, ServingConfig)> {
     let crashy = CrashConfig {
         mtbf_s: 25.0,
@@ -154,6 +163,33 @@ fn golden_fleets() -> Vec<(ClusterConfig, ServingConfig)> {
                 .with_breaker(BreakerConfig::edge_default()),
             base.with_degradation(true),
         ),
+        (
+            fleet(3)
+                .with_crashes(CrashConfig {
+                    mtbf_s: 10.0,
+                    mttr_s: 4.0,
+                    cold_start_s: 1.0,
+                })
+                .with_hedging(0.3),
+            base,
+        ),
+        (
+            fleet(3)
+                .with_domains(vec![DomainConfig {
+                    event_mtbf_s: 4.0,
+                    event_duration_s: 4.0,
+                    ..DomainConfig::quiet(DomainKind::Network, vec![0, 1])
+                }])
+                .with_hedging(0.3),
+            base,
+        ),
+        (
+            ClusterConfig::new(3, EngineConfig::vllm().with_governance(battery)).with_hedging(0.3),
+            ServingConfig {
+                arrival_qps: 5.0,
+                ..base
+            },
+        ),
     ]
 }
 
@@ -172,7 +208,7 @@ fn golden_runs() -> Vec<(usize, usize, ClusterReport)> {
 
 /// Fingerprints of the full [`ClusterReport`] of each [`golden_fleets`]
 /// run: row per fleet, column per seed of [`SEEDS`].
-const GOLDEN: [[u64; 2]; 7] = [
+const GOLDEN: [[u64; 2]; 10] = [
     [0xf1f6_5ea6_1b1c_87a5, 0x1779_9064_7301_90d2],
     [0x7709_423f_9234_38e6, 0x0f45_50f7_8d1a_1ef5],
     [0x07a4_778e_b345_b705, 0xed10_f5bf_fe83_6300],
@@ -180,6 +216,9 @@ const GOLDEN: [[u64; 2]; 7] = [
     [0x6e67_58cb_589e_2c3d, 0xa219_14a8_18bb_7553],
     [0xaa39_89ad_06d8_f56c, 0x340b_beb6_9f58_29b0],
     [0x5f30_4f20_dc4f_e31e, 0x4f99_c7fd_e074_47bc],
+    [0x3f72_07a9_ab30_c780, 0xc8f0_8cb8_de00_4ffc],
+    [0xe4e1_5884_0b17_e1e4, 0x23a0_1d31_892e_5641],
+    [0x832e_51b8_6f19_c513, 0xafae_476a_6186_2615],
 ];
 
 #[test]
