@@ -41,12 +41,28 @@
 //! brown-outs, the self-audit and every other fleet mechanism reach
 //! session traffic with no code of its own.
 //!
+//! # Layout of the loop
+//!
+//! `run_fleet` keeps its state in one private struct with a handler per
+//! event. The router picks the replica and instant that act next; an
+//! outage (crash window or battery brown-out) or a detected partition
+//! takes the iteration, or else the batching boundary runs its deadline,
+//! capacity and aging sheds, admission, the idle wait, hedging, and one
+//! decode step that retires finished slots (or a stuck step). The final
+//! report ends with the drain audit. Every decision the handlers share has
+//! one home: one routine voids a slot (a live hedge twin keeps its queries,
+//! otherwise they are requeued and counted by cause), one fails a whole
+//! replica (outages and stuck steps), one books voided joules, one launches
+//! a slot (admissions and hedge clones), and replica methods take the
+//! failure step, go down until an instant and walk the crash and
+//! partition windows.
+//!
 //! # Determinism
 //!
 //! The simulation is a single-threaded discrete-event loop: at every
 //! iteration the replica with the earliest actionable instant executes one
-//! scheduling step of the serving loop (ties break by health,
-//! then free KV tokens, then index). Each replica draws from its own RNG
+//! scheduling step of the serving loop (ties break by health, then the
+//! warmest prefix cache, then free KV tokens, then index). Each replica draws from its own RNG
 //! lanes — engine noise, disturbance weather and crash weather are all
 //! seeded per replica via `item_seed` — so reports are bit-identical
 //! across runs and across `par_map_deterministic` thread counts.
@@ -55,7 +71,8 @@
 //! [`simulate_serving`]: crate::serving::simulate_serving
 //! [`simulate_serving_sessions`]: crate::session::simulate_serving_sessions
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
+use std::ops::ControlFlow;
 
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
@@ -72,7 +89,7 @@ use crate::serving::{
     effective_batch, effective_out_tokens, AdmissionPolicy, AdmissionState, ClassBreakdown,
     SchedulerKind, ServingConfig, ServingReport, MAX_DEGRADE_LEVEL,
 };
-use crate::stepper::{BatchStepper, SlotId};
+use crate::stepper::{AdmitOutcome, BatchStepper, FinishedSlot, SlotId};
 use crate::telemetry::{Distribution, Ewma, ServingAccumulator};
 use crate::EngineError;
 
@@ -580,11 +597,7 @@ impl<'e> Replica<'e> {
     }
 
     fn health_at(&self, t: f64) -> ReplicaHealth {
-        if self
-            .crashes
-            .get(self.next_crash)
-            .is_some_and(|&(start, _)| start <= t)
-        {
+        if due(&self.crashes, self.next_crash, t).is_some() {
             return ReplicaHealth::Down;
         }
         // An open battery brown-out window (the governor's clock hasn't
@@ -605,6 +618,106 @@ impl<'e> Replica<'e> {
         }
         ReplicaHealth::Up
     }
+
+    /// Routing tie-break at instant `t`, lowest first: the healthiest, then
+    /// the warmest prefix cache (the longest cached part of the fleet's
+    /// shared `prefix` for a `prompt_tokens` prompt — zero for every
+    /// replica when there is none), then the most free KV tokens.
+    fn route_key(&self, t: f64, prefix: &[u64], prompt_tokens: usize) -> RouteKey {
+        let cached = if prefix.is_empty() {
+            0
+        } else {
+            self.stepper.cached_prefix_tokens(prefix, prompt_tokens)
+        };
+        let free = self.stepper.kv_free_tokens();
+        (self.health_at(t).rank(), Reverse(cached), Reverse(free))
+    }
+
+    /// Batch slots free under the replica's (possibly degraded) limit.
+    fn headroom(&self, cfg: &ServingConfig) -> usize {
+        effective_batch(cfg, self.level).saturating_sub(self.stepper.live_queries())
+    }
+
+    /// Consumes the crash window `(start, end)` that instant `t` has
+    /// reached, if any.
+    fn take_crash(&mut self, t: f64) -> Option<(f64, f64)> {
+        let window = due(&self.crashes, self.next_crash, t)?;
+        self.next_crash += 1;
+        Some(window)
+    }
+
+    /// Walks the partition windows at instant `t`. The router only learns
+    /// of a partition after [`PARTITION_DETECT_S`] of silence: a window
+    /// that heals first is skipped, and inside the timeout the clock waits
+    /// for it.
+    fn walk_partition(&mut self, t: f64) -> PartitionWalk {
+        let Some((start, end)) = due(&self.partitions, self.next_partition, t) else {
+            return PartitionWalk::Clear;
+        };
+        let detect_at = start + PARTITION_DETECT_S;
+        if t >= end || detect_at >= end {
+            // Healed before the router acted, or too short for the timeout
+            // to fire: invisible.
+            self.next_partition += 1;
+            return PartitionWalk::Spent;
+        }
+        if t < detect_at {
+            self.clock = detect_at;
+            return PartitionWalk::Spent;
+        }
+        self.next_partition += 1;
+        PartitionWalk::Detected(detect_at, end)
+    }
+
+    /// Takes the replica down until `until` (an outage's recovery or a
+    /// partition's end): its clock and drain instant jump there, and a
+    /// configured breaker trips, so the revived replica must pass its
+    /// half-open probes before full traffic.
+    fn go_down_until(&mut self, until: f64) {
+        self.clock = self.clock.max(until);
+        self.drain_now = self.drain_now.max(self.clock);
+        if let Some(b) = self.breaker.as_mut() {
+            b.trip(until);
+        }
+    }
+
+    /// The failure step after an idle refusal or a stuck step at `now`:
+    /// the breaker counts a failure and, with `degradation` on, the
+    /// replica degrades one level.
+    fn fail_step(&mut self, now: f64, degradation: bool) {
+        if let Some(b) = self.breaker.as_mut() {
+            b.on_failure(now);
+        }
+        if degradation {
+            self.level = (self.level + 1).min(MAX_DEGRADE_LEVEL);
+        }
+    }
+}
+
+/// The window at `cursor` of `windows` once instant `t` has reached its
+/// start: a replica walks its crash and partition windows with one cursor
+/// each.
+fn due(windows: &[(f64, f64)], cursor: usize, t: f64) -> Option<(f64, f64)> {
+    windows
+        .get(cursor)
+        .copied()
+        .filter(|&(start, _)| start <= t)
+}
+
+/// A replica's routing tie-break: health rank, then cached prefix tokens
+/// and free KV tokens, each reversed so that more sorts first.
+type RouteKey = (u8, Reverse<usize>, Reverse<u64>);
+
+/// What the router makes of a replica's next partition window at an
+/// instant.
+enum PartitionWalk {
+    /// No window has opened: the replica serves.
+    Clear,
+    /// The window healed unseen, or the router is still inside its
+    /// timeout: this iteration is spent.
+    Spent,
+    /// The timeout fires on the window `(detect_at, end)`.
+    Detected(f64, f64),
 }
 
 /// An in-flight request group on some replica.
@@ -782,10 +895,11 @@ fn shape<'a, S: Source>(
 /// shared prefix, crash cold start); the caller has validated both configs
 /// and built each replica's weather.
 ///
-/// At every iteration the replica with the earliest actionable instant
-/// executes one scheduling step: outage or partition handling, then the
-/// batching boundary (idle jump → pump → deadline shed → capacity shed →
-/// aging shed → admission → hedge → step).
+/// At every iteration the router picks the replica with the earliest
+/// actionable instant, and [`FleetLoop`]'s handlers run one scheduling
+/// step on it: outage or partition handling, then the batching boundary
+/// (deadline, capacity and aging sheds → admission → idle wait → hedge →
+/// step and retire, or a stuck step).
 ///
 /// `kind` sets how much room a replica has at a boundary. Continuous
 /// batching fills the headroom its running batch leaves under the
@@ -800,7 +914,6 @@ fn shape<'a, S: Source>(
 /// steps, and an idle replica that refuses one fails it without retry.
 /// Either way the SLO denominator and the self-audit use the count the
 /// source offered.
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run_fleet<S: Source>(
     cluster: &ClusterConfig,
     reps: &mut [Replica<'_>],
@@ -809,745 +922,730 @@ pub(crate) fn run_fleet<S: Source>(
     mut pq: PendingQueue<S>,
 ) -> FleetRun {
     let n = reps.len();
-    let mut live: Vec<ClusterSlot> = Vec::new();
-    let mut group: Vec<QKey> = Vec::new();
-    // Recycled member buffers and hedge-candidate scratch: the router's
-    // steady state allocates nothing — every slot death returns its member
-    // vector here and every admission draws from the pool.
-    let mut member_pool: Vec<Vec<QKey>> = Vec::new();
-    let mut hedge_scratch: Vec<u64> = Vec::new();
-    fn recycle(pool: &mut Vec<Vec<QKey>>, mut v: Vec<QKey>) {
-        v.clear();
-        pool.push(v);
-    }
-    let mut fleet = ServingAccumulator::default();
-    // Per-replica bookings. A lone replica's bookings are the fleet's, so
-    // it books once and its report is derived from the fleet's at the end.
-    let mut rep_accs = vec![ServingAccumulator::default(); if n > 1 { n } else { 0 }];
-    let mut next_key = 0u64;
-    // Fleet latency EWMA for hedge arming. `Ewma` seeds from the first
-    // observation (bit-exact with the old inline update, minus its
-    // cold-start-at-zero bias).
-    let mut lat_est = Ewma::new(HEDGE_EWMA_ALPHA);
-    let mut crash_events = 0usize;
-    let mut crash_lost = 0usize;
-    let mut crash_recovered = 0usize;
-    let mut hedges_fired = 0usize;
-    let mut hedge_wins = 0usize;
-    let mut hedge_energy_j = 0.0f64;
-    let mut brownout_events = 0usize;
-    let mut partition_events = 0usize;
-    let mut partition_voided = 0usize;
-    let mut ttft = Distribution::default();
-    let mut prompt_tokens = 0u64;
-    let mut cached_tokens = 0u64;
     // Fleet-wide priority admission: one controller in front of the shared
     // queue.
-    let mut adm = cfg.admission.as_ref().map(|a| {
+    let adm = cfg.admission.as_ref().map(|a| {
         pq.set_tagger(a.mix, a.class_seed);
         AdmissionState::new(*a)
     });
-    let shared_prefix: &[u64] = cluster.shared_prefix.as_deref().unwrap_or(&[]);
-    // Routing tie-break at instant `t`, lowest first: the healthiest, then
-    // the warmest prefix cache (longest cached template prefix — zero for
-    // every replica when no shared prefix is configured), then the most
-    // free KV tokens.
-    let route_key = |rep: &Replica<'_>, t: f64| {
-        let cached = if shared_prefix.is_empty() {
-            0
-        } else {
-            rep.stepper
-                .cached_prefix_tokens(shared_prefix, cfg.prompt_tokens)
-        };
-        let free = rep.stepper.kv_free_tokens();
-        (rep.health_at(t).rank(), Reverse(cached), Reverse(free))
+    let mut sim = FleetLoop {
+        cluster,
+        cfg,
+        kind,
+        reps,
+        pq,
+        shared_prefix: cluster.shared_prefix.as_deref().unwrap_or(&[]),
+        live: Vec::new(),
+        group: Vec::new(),
+        member_pool: Vec::new(),
+        fleet: ServingAccumulator::default(),
+        rep_accs: vec![ServingAccumulator::default(); if n > 1 { n } else { 0 }],
+        next_key: 0,
+        lat_est: Ewma::new(HEDGE_EWMA_ALPHA),
+        adm,
+        tally: Tally::default(),
     };
+    while sim.reps.iter().any(|rep| rep.stepper.is_busy()) || !sim.pq.is_exhausted() {
+        // Nothing can act: only unreachable future crash windows remain.
+        let Some((t, r)) = sim.route() else { break };
+        let _ = sim.event(r, t);
+    }
+    sim.finish()
+}
 
-    while reps.iter().any(|rep| rep.stepper.is_busy()) || !pq.is_exhausted() {
+/// Why a slot's work is voided: the cause decides which counter its
+/// requeued members join.
+#[derive(Clone, Copy)]
+enum VoidCause {
+    /// A crash window: members count as `crash_lost` and are marked so a
+    /// later completion counts as `crash_recovered`.
+    Crash,
+    /// A detected partition: members count as `partition_voided`.
+    Partition,
+    /// A battery brown-out or a stuck step: members only retry.
+    Other,
+}
+
+/// The fleet loop's state: the replicas and the shared queue, the live
+/// slots with their recycled buffers, the ledgers and the robustness
+/// counters. Each event of an iteration is one method.
+struct FleetLoop<'a, 'e, S: Source> {
+    cluster: &'a ClusterConfig,
+    cfg: &'a ServingConfig,
+    kind: SchedulerKind,
+    reps: &'a mut [Replica<'e>],
+    pq: PendingQueue<S>,
+    /// The shared template signature; empty when the fleet has none.
+    shared_prefix: &'a [u64],
+    live: Vec<ClusterSlot>,
+    /// Admission-group scratch.
+    group: Vec<QKey>,
+    /// Recycled member buffers: the router's steady state allocates
+    /// nothing — every slot death returns its member vector here and every
+    /// launch draws from the pool.
+    member_pool: Vec<Vec<QKey>>,
+    fleet: ServingAccumulator,
+    /// Per-replica bookings. A lone replica's bookings are the fleet's, so
+    /// it books once and its report is derived from the fleet's at the end.
+    rep_accs: Vec<ServingAccumulator>,
+    /// Key of the next launched slot (admission order).
+    next_key: u64,
+    /// Fleet latency EWMA that arms hedging, seeded from the first
+    /// observation.
+    lat_est: Ewma,
+    adm: Option<AdmissionState>,
+    tally: Tally,
+}
+
+/// What the fleet loop counts for its report: the robustness events, and
+/// the time to first token and prompt tokens of own-shape admissions.
+#[derive(Default)]
+struct Tally {
+    crash_events: usize,
+    crash_lost: usize,
+    crash_recovered: usize,
+    hedges_fired: usize,
+    hedge_wins: usize,
+    hedge_energy_j: f64,
+    brownout_events: usize,
+    partition_events: usize,
+    partition_voided: usize,
+    ttft: Distribution,
+    prompt_tokens: u64,
+    cached_tokens: u64,
+}
+
+impl<S: Source> FleetLoop<'_, '_, S> {
+    /// Route: the replica that can act earliest wins, as `(instant,
+    /// index)`; ties go to the lowest [`Replica::route_key`], then the
+    /// lowest index. Busy replicas act at their own clock (their next
+    /// decode boundary), idle ones at the next arrival. `None` when no
+    /// replica can act.
+    fn route(&mut self) -> Option<(f64, usize)> {
+        let (pq, reps) = (&mut self.pq, &*self.reps);
+        let (prefix, prompt) = (self.shared_prefix, self.cfg.prompt_tokens);
         // Earliest instant any pending (or still-undrawn) query becomes
         // ready — O(log) against the queue, and asked only when an idle
-        // replica needs it (a busy one acts at its own clock).
+        // replica needs it.
         let mut min_ready: Option<f64> = None;
-
-        // Route: the replica that can act earliest wins; ties go to the
-        // lowest `route_key`, then the lowest index. Busy replicas act at
-        // their own clock (their next decode boundary); idle ones at the
-        // next arrival.
-        let mut best: Option<(f64, usize)> = None;
-        for (r, rep) in reps.iter().enumerate() {
-            let t_act = if rep.stepper.is_busy() {
-                rep.clock
-            } else {
-                let ready = *min_ready.get_or_insert_with(|| pq.min_ready());
-                if !ready.is_finite() {
-                    continue;
-                }
-                rep.clock.max(ready)
-            };
-            // A replica browned out with no recharge path has an infinite
-            // recovery time: it never acts again. Skipping it here (rather
-            // than letting `max` swallow the jump) keeps the loop's exit
-            // condition honest when the whole fleet is dead.
-            if !t_act.is_finite() {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bt, b)) => match t_act.total_cmp(&bt) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => route_key(rep, t_act) < route_key(&reps[b], bt),
-                },
-            };
-            if better {
-                best = Some((t_act, r));
-            }
-        }
-        let Some((t_act, r)) = best else {
-            break; // nothing can act: only unreachable future crash windows
-        };
-
-        // An outage the replica's action time has reached fires before any
-        // scheduling: a crash window from the weather, or a battery
-        // brown-out detected by the replica's own governor (recovery comes
-        // from the recharge model instead of repair + cold start). The
-        // device dies, its KV cache is zeroed, every in-flight sequence is
-        // voided into the retry queue, and the clock jumps past recovery.
-        // Only crashes move the crash counters (`mark_crashed` and
-        // `crash_lost`): those stay exogenous-only, and `brownout_events`
-        // owns the brown-out path.
-        let outage = if let Some(&(start, end)) = reps[r]
-            .crashes
-            .get(reps[r].next_crash)
-            .filter(|&&(start, _)| start <= t_act)
-        {
-            reps[r].next_crash += 1;
-            crash_events += 1;
-            Some((start, end + cluster.crash.cold_start_s, true))
-        } else if let Some((start, recovery)) = reps[r].engine.governance_take_outage() {
-            brownout_events += 1;
-            Some((start, recovery, false))
-        } else {
-            None
-        };
-        if let Some((start, recovery, crashed)) = outage {
-            reps[r].outages.push((start, recovery));
-            // The voided work drew real power: book it exactly once, here,
-            // as the partition block books its cancellations.
-            let (failed, spent) = reps[r].stepper.fail_all();
-            fleet.energy += spent;
-            if let Some(acc) = rep_accs.get_mut(r) {
-                acc.energy += spent;
-            }
-            for id in failed {
-                let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
-                    continue;
+        reps.iter()
+            .enumerate()
+            .filter_map(|(r, rep)| {
+                let t = if rep.stepper.is_busy() {
+                    rep.clock
+                } else {
+                    let ready = *min_ready.get_or_insert_with(|| pq.min_ready());
+                    if !ready.is_finite() {
+                        return None;
+                    }
+                    rep.clock.max(ready)
                 };
-                let slot = live.remove(pos);
-                if let Some(peer) = slot.pair {
-                    // The hedge twin survives elsewhere and still owns the
-                    // queries: dissolve the pair, nothing to requeue.
-                    if let Some(p) = live.iter_mut().find(|s| s.key == peer) {
-                        p.pair = None;
-                    }
-                    recycle(&mut member_pool, slot.members);
-                    continue;
-                }
-                if crashed {
-                    crash_lost += slot.members.len();
-                    for &k in &slot.members {
-                        pq.mark_crashed(k);
-                    }
-                }
-                pq.requeue_failed(
-                    &slot.members,
-                    t_act,
-                    cfg.max_retries,
-                    cfg.retry_backoff_s,
-                    &mut fleet,
-                );
-                recycle(&mut member_pool, slot.members);
-            }
-            reps[r].clock = reps[r].clock.max(recovery);
-            reps[r].drain_now = reps[r].drain_now.max(reps[r].clock);
-            reps[r].throttle_streak = 0;
-            // A configured breaker makes the rejoin cautious: the revived
-            // replica must pass its half-open probes before full traffic.
-            if let Some(b) = reps[r].breaker.as_mut() {
-                b.trip(recovery);
-            }
-            continue;
-        }
+                // A replica browned out with no recharge path has an
+                // infinite recovery time: it never acts again. Skipping it
+                // (rather than letting `max` swallow the jump) keeps the
+                // loop's exit condition honest when the whole fleet is dead.
+                t.is_finite().then_some((t, r))
+            })
+            .min_by(|&(ta, a), &(tb, b)| {
+                ta.total_cmp(&tb).then_with(|| {
+                    let key = |r: usize, t| reps[r].route_key(t, prefix, prompt);
+                    key(a, ta).cmp(&key(b, tb))
+                })
+            })
+    }
 
-        // A router↔replica partition: the device itself keeps running (it
-        // looks Up to health checks) but the router cannot reach it. The
-        // router only learns after PARTITION_DETECT_S of silence, then
-        // voids the replica's in-flight work into failover. Cancelled
-        // slots book their accrued energy exactly once, here — the slot is
-        // removed from the stepper, so no later fail/retire can re-book it.
-        if let Some(&(start, end)) = reps[r].partitions.get(reps[r].next_partition) {
-            if start <= t_act {
-                if t_act >= end {
-                    // Healed before the router acted at all.
-                    reps[r].next_partition += 1;
-                    continue;
-                }
-                let detect_at = start + PARTITION_DETECT_S;
-                if detect_at >= end {
-                    // Too short for the timeout to fire: invisible.
-                    reps[r].next_partition += 1;
-                    continue;
-                }
-                if t_act < detect_at {
-                    // Still inside the timeout: the router waits.
-                    reps[r].clock = detect_at;
-                    continue;
-                }
-                reps[r].next_partition += 1;
-                partition_events += 1;
-                reps[r].outages.push((detect_at, end));
-                while let Some(pos) = live.iter().position(|s| s.replica == r) {
-                    let slot = live.remove(pos);
-                    let spent = reps[r].stepper.cancel(slot.id).unwrap_or(0.0);
-                    fleet.energy += spent;
-                    if let Some(acc) = rep_accs.get_mut(r) {
-                        acc.energy += spent;
-                    }
-                    if let Some(peer) = slot.pair {
-                        if let Some(p) = live.iter_mut().find(|s| s.key == peer) {
-                            p.pair = None;
-                        }
-                        recycle(&mut member_pool, slot.members);
-                        continue;
-                    }
-                    partition_voided += slot.members.len();
-                    pq.requeue_failed(
-                        &slot.members,
-                        t_act,
-                        cfg.max_retries,
-                        cfg.retry_backoff_s,
-                        &mut fleet,
-                    );
-                    recycle(&mut member_pool, slot.members);
-                }
-                reps[r].clock = reps[r].clock.max(end);
-                reps[r].drain_now = reps[r].drain_now.max(reps[r].clock);
-                // A timed-out replica trips its breaker immediately: no
-                // point probing a box the network just ate.
-                if let Some(b) = reps[r].breaker.as_mut() {
-                    b.trip(end);
-                }
-                continue;
-            }
-        }
-
-        // From here on this is one iteration of the serving loop, executed
-        // on replica `r` at instant `t_act` (the idle-jump is already
-        // folded into `t_act`).
-        reps[r].clock = t_act;
-        reps[r].served = reps[r].served.max(t_act);
-        let now = t_act;
-        // Materialize every arrival due by this instant; later ones stay
-        // inside the generator.
-        pq.pump(now);
+    /// One iteration on replica `r` at its action instant `t`. Each handler
+    /// either passes the iteration on or breaks, having spent it.
+    fn event(&mut self, r: usize, t: f64) -> ControlFlow<()> {
+        self.outage(r, t)?;
+        self.partition(r, t)?;
+        // From here on this is one batching boundary of replica `r` at `t`
+        // (the idle jump is already folded into `t`).
+        let rep = &mut self.reps[r];
+        rep.clock = t;
+        rep.served = rep.served.max(t);
         // Lazily advance this replica's breaker (Open past its cooldown
         // becomes HalfOpen, ready to probe).
-        if let Some(b) = reps[r].breaker.as_mut() {
-            b.poll(now);
+        if let Some(b) = rep.breaker.as_mut() {
+            b.poll(t);
         }
+        let breaker_open = rep.breaker.as_ref().is_some_and(|b| b.is_open_at(t));
+        // Materialize every arrival due by this instant; later ones stay
+        // inside the generator.
+        self.pq.pump(t);
+        self.shed(t)?;
+        let slack_shed = self.admit(r, t, breaker_open)?;
+        if !self.reps[r].stepper.is_busy() {
+            self.idle(r, t, breaker_open, slack_shed);
+            return ControlFlow::Break(());
+        }
+        self.hedge(t);
+        self.step(r, t);
+        ControlFlow::Continue(())
+    }
 
-        // Fleet-level admission control, evaluated at every scheduling
-        // boundary.
-        if let Some(d) = cfg.deadline_s {
-            let shed = pq.shed_expired(now, d);
-            if shed > 0 {
-                fleet.shed += shed;
-                continue;
-            }
-        }
-        if cfg.queue_capacity > 0 {
-            let shed = pq.shed_over_capacity(now, cfg.queue_capacity);
-            if shed > 0 {
-                fleet.shed += shed;
-                continue;
-            }
-        }
-        // CoDel-style queue aging: stale low-priority work is dropped
-        // early instead of poisoning the queue (priority policy only).
-        if let Some(st) = adm
-            .as_ref()
-            .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
-        {
-            let shed = pq.shed_aged(now, &st.cfg.age_target_s);
-            if shed > 0 {
-                fleet.shed += shed;
-                continue;
-            }
-        }
+    /// An outage the replica's action time `t` has reached fires before
+    /// any scheduling: a crash window from the weather, or a battery
+    /// brown-out detected by the replica's own governor (recovery comes
+    /// from the recharge model instead of repair + cold start). The device
+    /// dies, its KV cache is zeroed, every in-flight sequence is voided
+    /// into the retry queue, and the clock jumps past recovery. Only
+    /// crashes move the crash counters: those stay exogenous-only, and
+    /// `brownout_events` owns the brown-out path.
+    fn outage(&mut self, r: usize, t: f64) -> ControlFlow<()> {
+        let (rep, cold_start_s) = (&mut self.reps[r], self.cluster.crash.cold_start_s);
+        let (start, recovery, cause) = if let Some((start, end)) = rep.take_crash(t) {
+            self.tally.crash_events += 1;
+            (start, end + cold_start_s, VoidCause::Crash)
+        } else if let Some((start, recovery)) = rep.engine.governance_take_outage() {
+            self.tally.brownout_events += 1;
+            (start, recovery, VoidCause::Other)
+        } else {
+            return ControlFlow::Continue(());
+        };
+        rep.outages.push((start, recovery));
+        self.fail_replica(r, cause, t);
+        let rep = &mut self.reps[r];
+        rep.go_down_until(recovery);
+        rep.throttle_streak = 0;
+        ControlFlow::Break(())
+    }
 
-        // Admission into this replica's headroom; gang scheduling leaves a
-        // busy replica none. An open breaker refuses new work (the running
-        // batch, if any, drains).
-        let breaker_open = reps[r].breaker.as_ref().is_some_and(|b| b.is_open_at(now));
-        let room = if kind == SchedulerKind::Static && reps[r].stepper.is_busy() {
+    /// A router↔replica partition: the device itself keeps running (it
+    /// looks Up to health checks) but the router cannot reach it. Once the
+    /// router's timeout detects it, every in-flight slot is cancelled, its
+    /// accrued energy booked exactly once (the slot leaves the stepper, so
+    /// no later fail or retire can re-book it) and its work voided into
+    /// failover; the replica is down, breaker tripped, until the window
+    /// heals.
+    fn partition(&mut self, r: usize, t: f64) -> ControlFlow<()> {
+        let (detect_at, end) = match self.reps[r].walk_partition(t) {
+            PartitionWalk::Clear => return ControlFlow::Continue(()),
+            PartitionWalk::Spent => return ControlFlow::Break(()),
+            PartitionWalk::Detected(detect_at, end) => (detect_at, end),
+        };
+        self.tally.partition_events += 1;
+        self.reps[r].outages.push((detect_at, end));
+        while let Some(pos) = self.live.iter().position(|s| s.replica == r) {
+            let spent = self.reps[r].stepper.cancel(self.live[pos].id);
+            self.book_voided(r, spent.unwrap_or(0.0));
+            self.void_slot(pos, VoidCause::Partition, t);
+        }
+        self.reps[r].go_down_until(end);
+        ControlFlow::Break(())
+    }
+
+    /// Fleet-level admission control at every scheduling boundary: the
+    /// deadline shed, the queue-capacity shed, and CoDel-style queue aging
+    /// (priority policy only), which drops stale low-priority work early
+    /// instead of letting it poison the queue. The first that sheds
+    /// anything spends the iteration.
+    fn shed(&mut self, now: f64) -> ControlFlow<()> {
+        let cfg = self.cfg;
+        let mut shed = cfg.deadline_s.map_or(0, |d| self.pq.shed_expired(now, d));
+        if shed == 0 && cfg.queue_capacity > 0 {
+            shed = self.pq.shed_over_capacity(now, cfg.queue_capacity);
+        }
+        if shed == 0 {
+            if let Some(st) = priority(&mut self.adm) {
+                shed = self.pq.shed_aged(now, &st.cfg.age_target_s);
+            }
+        }
+        self.fleet.shed += shed;
+        if shed > 0 {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Admission into replica `r`'s headroom at `now`; gang scheduling
+    /// leaves a busy replica none, and an open breaker refuses new work
+    /// (the running batch, if any, drains). Breaks after a launch or an
+    /// idle replica's refusal; otherwise passes on the count priority
+    /// admission shed for lack of slack.
+    fn admit(&mut self, r: usize, now: f64, breaker_open: bool) -> ControlFlow<(), usize> {
+        let (cfg, level) = (self.cfg, self.reps[r].level);
+        let rep = &self.reps[r];
+        let room = if self.kind == SchedulerKind::Static && rep.stepper.is_busy() {
             0
         } else {
-            effective_batch(cfg, reps[r].level).saturating_sub(reps[r].stepper.live_queries())
+            rep.headroom(cfg)
         };
-        let mut slack_shed = 0usize;
-        if room > 0 && !breaker_open {
-            let room = if S::OWN_SHAPE { 1 } else { room };
-            match adm
-                .as_mut()
-                .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
-            {
-                Some(st) => {
-                    let need =
-                        (cfg.prompt_tokens + effective_out_tokens(cfg, reps[r].level)) as u64;
-                    slack_shed = st.select(
-                        &mut pq,
-                        now,
-                        room,
-                        reps[r].stepper.kv_free_tokens(),
-                        need,
-                        cfg.deadline_s,
-                        &mut group,
-                    );
-                    fleet.shed += slack_shed;
-                }
-                None => pq.collect_ready(now, room, &mut group),
-            }
-            if !group.is_empty() {
-                let (prompt, out_tokens, prefix) =
-                    shape(&pq, group[0], cfg, reps[r].level, shared_prefix);
-                let req = GenerationRequest::new(prompt, out_tokens).with_batch(group.len());
-                let rep = &mut reps[r];
-                match rep.stepper.admit_prefixed(rep.engine, now, &req, prefix) {
-                    Ok(adm) => {
-                        if S::OWN_SHAPE {
-                            ttft.record(adm.end_s - pq.arrival_s(group[0]));
-                            prompt_tokens += prompt as u64;
-                            cached_tokens += adm.cached_tokens as u64;
-                        }
-                        pq.commit_admitted(&group);
-                        let mut members = member_pool.pop().unwrap_or_default();
-                        members.extend_from_slice(&group);
-                        live.push(ClusterSlot {
-                            key: next_key,
-                            replica: r,
-                            id: adm.id,
-                            admit_s: now,
-                            out_tokens,
-                            members,
-                            pair: None,
-                            is_hedge: false,
-                        });
-                        next_key += 1;
-                        rep.clock = adm.end_s;
-                        rep.served = rep.served.max(adm.end_s);
-                        continue;
-                    }
-                    // A busy replica refusing an own-shape request keeps it
-                    // queued while the batch steps and frees KV.
-                    Err(_) if S::OWN_SHAPE && rep.stepper.is_busy() => {}
-                    Err(_) => {
-                        // An idle replica has its whole KV budget free: an
-                        // own-shape request it refuses can never be placed.
-                        let retries = if S::OWN_SHAPE { 0 } else { cfg.max_retries };
-                        pq.requeue_failed(&group, now, retries, cfg.retry_backoff_s, &mut fleet);
-                        if let Some(b) = rep.breaker.as_mut() {
-                            b.on_failure(now);
-                        }
-                        if cfg.degradation {
-                            rep.level = (rep.level + 1).min(MAX_DEGRADE_LEVEL);
-                        }
-                        continue;
-                    }
-                }
-            }
+        if room == 0 || breaker_open {
+            return ControlFlow::Continue(0);
         }
-        if !reps[r].stepper.is_busy() {
-            if breaker_open {
-                // Idle behind an open breaker: nothing can happen on this
-                // replica until the cooldown elapses, so jump its clock
-                // there (other replicas keep acting at their own clocks).
-                if let Some(until) = reps[r].breaker.as_ref().and_then(Breaker::open_until) {
-                    reps[r].clock = reps[r].clock.max(until);
-                }
-                continue;
+        let room = if S::OWN_SHAPE { 1 } else { room };
+        let mut slack_shed = 0;
+        match priority(&mut self.adm) {
+            Some(st) => {
+                let need = (cfg.prompt_tokens + effective_out_tokens(cfg, level)) as u64;
+                let (pq, group, free) =
+                    (&mut self.pq, &mut self.group, rep.stepper.kv_free_tokens());
+                slack_shed = st.select(pq, now, room, free, need, cfg.deadline_s, group);
+                self.fleet.shed += slack_shed;
             }
-            if slack_shed == 0 {
-                if let Some(st) = adm
-                    .as_mut()
-                    .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
-                {
-                    // Idle with ready work but an empty admission group:
-                    // either a bucket is starved (jump to its refill) or
-                    // nothing can ever admit (shed the head for liveness —
-                    // an idle replica has its whole KV budget free, so
-                    // what cannot fit here cannot fit anywhere).
-                    let t = st.next_release_s(now);
-                    if t.is_finite() && t > now {
-                        reps[r].clock = t;
-                    } else {
-                        pq.collect_ready(now, 1, &mut group);
-                        if let Some(&k) = group.first() {
-                            if pq.shed_key(k) {
-                                fleet.shed += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            continue;
+            None => self.pq.collect_ready(now, room, &mut self.group),
         }
-
-        // Hedging: any unhedged in-flight group whose oldest member has
-        // been outstanding (since *arrival*) longer than the armed
-        // threshold is cloned onto the best *other* replica before this
-        // decode boundary runs. First completion will win. Measuring from
-        // arrival makes crash-requeued stragglers hedge-eligible as soon
-        // as they are re-admitted — exactly the requests worth cloning.
-        if let Some(factor) = cluster.hedge_factor {
-            if let Some(est) = lat_est.get() {
-                let threshold = factor * est;
-                // Members are admitted in seq order and arrivals are
-                // monotone in seq, so the oldest member is always the
-                // first: `max_k(now - arrival_k) == now - arrival_0`
-                // bit-exactly (IEEE subtraction is monotone, and both
-                // sides are >= +0.0, the old fold's init).
-                let age = |s: &ClusterSlot| match s.members.first() {
-                    Some(&k) => now - pq.arrival_s(k),
-                    None => 0.0,
-                };
-                hedge_scratch.clear();
-                hedge_scratch.extend(
-                    live.iter()
-                        .filter(|s| s.pair.is_none() && !s.is_hedge && age(s) > threshold)
-                        .map(|s| s.key),
-                );
-                for &key in &hedge_scratch {
-                    let Some(orig_pos) = live.iter().position(|s| s.key == key) else {
-                        continue;
-                    };
-                    let (home, m_len, out_tokens) = {
-                        let s = &live[orig_pos];
-                        (s.replica, s.members.len(), s.out_tokens)
-                    };
-                    // The clone repeats the original's request: its
-                    // shape, with the output budget it was admitted at.
-                    let (prompt, _, prefix) =
-                        shape(&pq, live[orig_pos].members[0], cfg, 0, shared_prefix);
-                    let need = prompt + out_tokens;
-                    // Best healthy, least-loaded target that could hold
-                    // the clone.
-                    let mut target: Option<(u8, u64, usize)> = None;
-                    for (q, rep) in reps.iter().enumerate() {
-                        if q == home {
-                            continue;
-                        }
-                        let health = rep.health_at(now);
-                        if health == ReplicaHealth::Down {
-                            continue;
-                        }
-                        let headroom = effective_batch(cfg, rep.level)
-                            .saturating_sub(rep.stepper.live_queries());
-                        if headroom < m_len || !rep.stepper.kv_would_fit(m_len, need) {
-                            continue;
-                        }
-                        let free = rep.stepper.kv_free_tokens();
-                        let better = match target {
-                            None => true,
-                            Some((bh, bf, _)) => {
-                                health.rank() < bh || (health.rank() == bh && free > bf)
-                            }
-                        };
-                        if better {
-                            target = Some((health.rank(), free, q));
-                        }
-                    }
-                    let Some((_, _, q)) = target else { continue };
-                    let req = GenerationRequest::new(prompt, out_tokens).with_batch(m_len);
-                    let rep = &mut reps[q];
-                    let Ok(adm) = rep.stepper.admit_prefixed(rep.engine, now, &req, prefix) else {
-                        continue; // refusal leaves the target untouched
-                    };
-                    rep.clock = rep.clock.max(adm.end_s);
-                    rep.served = rep.served.max(adm.end_s);
-                    hedges_fired += 1;
-                    let clone_key = next_key;
-                    next_key += 1;
-                    let mut members = member_pool.pop().unwrap_or_default();
-                    members.extend_from_slice(&live[orig_pos].members);
-                    live[orig_pos].pair = Some(clone_key);
-                    live.push(ClusterSlot {
-                        key: clone_key,
-                        replica: q,
-                        id: adm.id,
-                        admit_s: now,
-                        out_tokens,
-                        members,
-                        pair: Some(key),
-                        is_hedge: true,
-                    });
+        let Some(&head) = self.group.first() else {
+            return ControlFlow::Continue(slack_shed);
+        };
+        let (prompt, out_tokens, prefix) = shape(&self.pq, head, cfg, level, self.shared_prefix);
+        let req = GenerationRequest::new(prompt, out_tokens).with_batch(self.group.len());
+        let rep = &mut self.reps[r];
+        match rep.stepper.admit_prefixed(rep.engine, now, &req, prefix) {
+            Ok(admitted) => {
+                if S::OWN_SHAPE {
+                    let tally = &mut self.tally;
+                    tally.ttft.record(admitted.end_s - self.pq.arrival_s(head));
+                    tally.prompt_tokens += prompt as u64;
+                    tally.cached_tokens += admitted.cached_tokens as u64;
                 }
+                self.pq.commit_admitted(&self.group);
+                self.launch(r, now, &admitted, out_tokens, None);
             }
-        }
-
-        // One decode iteration for this replica's mixed-context batch.
-        let rep = &mut reps[r];
-        match rep.stepper.step(rep.engine) {
-            Ok(out) => {
-                rep.clock = out.end_s;
-                rep.served = rep.served.max(out.end_s);
-                for f in out.retired {
-                    let Some(pos) = live.iter().position(|s| s.replica == r && s.id == f.id) else {
-                        continue;
-                    };
-                    let slot = live.remove(pos);
-                    let service = f.outcome.total_latency_s() + f.extra_wait_s;
-                    let completion = slot.admit_s + service;
-                    reps[r].drain_now = reps[r].drain_now.max(completion);
-                    // A winning hedge cancels its loser; the loser's
-                    // accrued energy is still booked.
-                    if let Some(peer) = slot.pair {
-                        if let Some(ppos) = live.iter().position(|s| s.key == peer) {
-                            let loser = live.remove(ppos);
-                            let spent = reps[loser.replica].stepper.cancel(loser.id).unwrap_or(0.0);
-                            fleet.energy += spent;
-                            if let Some(acc) = rep_accs.get_mut(loser.replica) {
-                                acc.energy += spent;
-                            }
-                            hedge_energy_j += spent;
-                            recycle(&mut member_pool, loser.members);
-                        }
-                    }
-                    if slot.is_hedge {
-                        // The clone delivered — either it beat a live
-                        // original or the original died in a crash and the
-                        // pair was dissolved.
-                        hedge_wins += 1;
-                    }
-                    let mut rep_acc = rep_accs.get_mut(r);
-                    let mut step_missed = false;
-                    let energy_share = f.outcome.total_energy_j() / slot.members.len() as f64;
-                    for &k in &slot.members {
-                        let arrival_s = pq.arrival_s(k);
-                        let latency = completion - arrival_s;
-                        let wait = slot.admit_s - arrival_s;
-                        let missed = cfg.deadline_s.is_some_and(|d| latency > d);
-                        fleet.record_query(latency, wait);
-                        if missed {
-                            fleet.deadline_misses += 1;
-                            step_missed = true;
-                        }
-                        if let Some(acc) = rep_acc.as_mut() {
-                            acc.record_query(latency, wait);
-                            if missed {
-                                acc.deadline_misses += 1;
-                            }
-                        }
-                        if let Some(st) = adm.as_mut() {
-                            st.classes
-                                .record(pq.class_of(k), latency, missed, energy_share);
-                        }
-                        // Only crash outages mark queries, and they count
-                        // `crash_lost` as they do.
-                        if crash_lost > 0 && pq.take_crashed(k) {
-                            crash_recovered += 1;
-                        }
-                        // The latency estimate arms hedging and nothing else.
-                        if cluster.hedge_factor.is_some() {
-                            lat_est.observe(latency);
-                        }
-                    }
-                    if let Some(st) = adm.as_mut() {
-                        st.observe_service(service);
-                    }
-                    if let Some(b) = reps[r].breaker.as_mut() {
-                        b.on_success(service, completion);
-                    }
-                    // Metrics booked; the winner retires its members' arena
-                    // slots (a cancelled hedge loser shares these keys and
-                    // must not release them again).
-                    for &k in &slot.members {
-                        pq.release(k);
-                    }
-                    let degraded = reps[r].level > 0;
-                    for acc in std::iter::once(&mut fleet).chain(rep_acc) {
-                        acc.energy += f.outcome.total_energy_j();
-                        acc.tokens += f.outcome.total_generated_tokens() as f64;
-                        acc.record_batch(slot.members.len());
-                        acc.preemptions += f.outcome.preemptions;
-                        if degraded {
-                            acc.degraded_s += service;
-                        }
-                    }
-                    recycle(&mut member_pool, slot.members);
-                    if f.outcome.throttled_s > 0.0 {
-                        reps[r].throttle_streak += 1;
-                    } else {
-                        reps[r].throttle_streak = 0;
-                    }
-                    if cfg.degradation {
-                        if f.outcome.throttled_s > 0.0 || step_missed {
-                            reps[r].level = (reps[r].level + 1).min(MAX_DEGRADE_LEVEL);
-                        } else {
-                            reps[r].level = reps[r].level.saturating_sub(1);
-                        }
-                    }
-                }
-                if !reps[r].stepper.is_busy() {
-                    // Drained: completions (which carry the run-level
-                    // jitter) define this replica's clock.
-                    reps[r].clock = reps[r].drain_now;
-                    reps[r].served = reps[r].served.max(reps[r].drain_now);
-                }
+            // A busy replica refusing an own-shape request keeps it queued
+            // while the batch steps and frees KV.
+            Err(_) if S::OWN_SHAPE && rep.stepper.is_busy() => {
+                return ControlFlow::Continue(slack_shed);
             }
             Err(_) => {
-                // The whole batch is stuck (e.g. an unplaceable waiting
-                // group): fail this replica's slots into the retry
-                // machinery; hedge twins elsewhere keep their queries. The
-                // failed slots' joules are booked like a crash's.
-                let (failed, spent) = rep.stepper.fail_all();
-                fleet.energy += spent;
-                if let Some(acc) = rep_accs.get_mut(r) {
-                    acc.energy += spent;
-                }
-                for id in failed {
-                    let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
-                        continue;
-                    };
-                    let slot = live.remove(pos);
-                    if let Some(peer) = slot.pair {
-                        if let Some(p) = live.iter_mut().find(|s| s.key == peer) {
-                            p.pair = None;
-                        }
-                        recycle(&mut member_pool, slot.members);
-                        continue;
-                    }
-                    pq.requeue_failed(
-                        &slot.members,
-                        now,
-                        cfg.max_retries,
-                        cfg.retry_backoff_s,
-                        &mut fleet,
-                    );
-                    recycle(&mut member_pool, slot.members);
-                }
-                if let Some(b) = reps[r].breaker.as_mut() {
-                    b.on_failure(now);
-                }
-                if cfg.degradation {
-                    reps[r].level = (reps[r].level + 1).min(MAX_DEGRADE_LEVEL);
+                // An idle replica has its whole KV budget free: an
+                // own-shape request it refuses can never be placed.
+                let retries = if S::OWN_SHAPE { 0 } else { cfg.max_retries };
+                let (pq, backoff) = (&mut self.pq, cfg.retry_backoff_s);
+                pq.requeue_failed(&self.group, now, retries, backoff, &mut self.fleet);
+                rep.fail_step(now, cfg.degradation);
+            }
+        }
+        ControlFlow::Break(())
+    }
+
+    /// Replica `r` is idle after admission at `now`. Behind an open
+    /// breaker nothing can happen on it until the cooldown elapses, so its
+    /// clock jumps there (other replicas keep acting at their own clocks).
+    /// Under priority admission, when nothing was shed for slack, ready
+    /// work with an empty admission group means either a bucket is starved
+    /// (jump to its refill) or nothing can ever admit (shed the head for
+    /// liveness — an idle replica has its whole KV budget free, so what
+    /// cannot fit here cannot fit anywhere).
+    fn idle(&mut self, r: usize, now: f64, breaker_open: bool, slack_shed: usize) {
+        let rep = &mut self.reps[r];
+        if breaker_open {
+            if let Some(until) = rep.breaker.as_ref().and_then(Breaker::open_until) {
+                rep.clock = rep.clock.max(until);
+            }
+            return;
+        }
+        let Some(st) = priority(&mut self.adm).filter(|_| slack_shed == 0) else {
+            return;
+        };
+        let t = st.next_release_s(now);
+        if t.is_finite() && t > now {
+            rep.clock = t;
+        } else {
+            self.pq.collect_ready(now, 1, &mut self.group);
+            if let Some(&k) = self.group.first() {
+                if self.pq.shed_key(k) {
+                    self.fleet.shed += 1;
                 }
             }
         }
     }
 
-    let wall = reps.iter().map(|rep| rep.served).fold(0.0f64, f64::max);
-    let mut down_s = 0.0f64;
-    for rep in reps.iter() {
-        for &(start, recovery) in &rep.outages {
-            down_s += (recovery.min(wall) - start.min(wall)).max(0.0);
+    /// Hedging: every unhedged in-flight original whose oldest member has
+    /// been outstanding (since *arrival*) longer than the armed threshold
+    /// is cloned onto the best *other* replica before this decode boundary
+    /// runs; the first completion wins. Measuring from arrival makes
+    /// crash-requeued stragglers hedge-eligible as soon as they are
+    /// re-admitted — exactly the requests worth cloning.
+    fn hedge(&mut self, now: f64) {
+        let (Some(factor), Some(est)) = (self.cluster.hedge_factor, self.lat_est.get()) else {
+            return;
+        };
+        let threshold = factor * est;
+        // Launches only append clones, so every original keeps its position
+        // below the length taken here.
+        for pos in 0..self.live.len() {
+            let orig = &self.live[pos];
+            // Members are admitted in seq order and arrivals are monotone
+            // in seq, so the oldest member is always the first:
+            // `max_k(now - arrival_k) == now - arrival_0` bit-exactly (IEEE
+            // subtraction is monotone, and both sides are >= +0.0, the old
+            // fold's init).
+            let age = now - self.pq.arrival_s(orig.members[0]);
+            let eligible = orig.pair.is_none() && !orig.is_hedge && age > threshold;
+            if !eligible {
+                continue;
+            }
+            let (home, m_len, out_tokens) = (orig.replica, orig.members.len(), orig.out_tokens);
+            // The clone repeats the original's request: its shape, with the
+            // output budget it was admitted at.
+            let (prompt, _, prefix) =
+                shape(&self.pq, orig.members[0], self.cfg, 0, self.shared_prefix);
+            let Some(q) = self.hedge_target(home, now, m_len, prompt + out_tokens) else {
+                continue;
+            };
+            let req = GenerationRequest::new(prompt, out_tokens).with_batch(m_len);
+            let rep = &mut self.reps[q];
+            let Ok(admitted) = rep.stepper.admit_prefixed(rep.engine, now, &req, prefix) else {
+                continue; // refusal leaves the target untouched
+            };
+            self.tally.hedges_fired += 1;
+            self.launch(q, now, &admitted, out_tokens, Some(pos));
         }
     }
-    let availability = if wall > 0.0 {
-        (1.0 - down_s / (wall * n as f64)).max(0.0)
-    } else {
-        1.0
-    };
 
-    // A stranded run (every replica browned out for good) leaves arrivals
-    // queued or undrawn; the offered count includes them.
-    #[cfg(any(test, debug_assertions))]
-    let drained = pq.is_exhausted();
-    let offered = pq.offered();
-    let cfg = &ServingConfig {
-        queries: offered,
-        ..*cfg
-    };
-    let fleet_energy_j = fleet.energy;
-    let fleet = fleet.into_report(cfg, wall);
-    let mut replica_energy_j: Vec<f64> = rep_accs.iter().map(|acc| acc.energy).collect();
-    let mut replicas: Vec<ServingReport> = rep_accs
-        .into_iter()
-        .zip(reps.iter())
-        .map(|(acc, rep)| acc.into_report(cfg, rep.served))
-        .collect();
-    if n == 1 {
-        // The lone replica booked into the fleet accumulator; shed, failed
-        // and retry counts are fleet-level decisions.
-        replicas.push(ServingReport {
-            shed_queries: 0,
-            failed_queries: 0,
-            retries: 0,
-            ..fleet
-        });
-        replica_energy_j.push(fleet_energy_j);
+    /// Where a clone of `members` sequences needing `need` tokens each goes
+    /// at `now`: among the replicas other than `home` that are not Down and
+    /// have the batch headroom and KV room to hold it, the lowest
+    /// [`Replica::route_key`] without the prefix preference (the
+    /// healthiest, then the most free KV tokens); ties keep the lowest
+    /// index.
+    fn hedge_target(&self, home: usize, now: f64, members: usize, need: usize) -> Option<usize> {
+        self.reps
+            .iter()
+            .enumerate()
+            .filter(|&(q, rep)| {
+                q != home
+                    && rep.health_at(now) != ReplicaHealth::Down
+                    && rep.headroom(self.cfg) >= members
+                    && rep.stepper.kv_would_fit(members, need)
+            })
+            .min_by_key(|(_, rep)| rep.route_key(now, &[], 0))
+            .map(|(q, _)| q)
     }
-    let mut governance: Option<GovernanceStats> = None;
-    let mut breaker_trips = 0usize;
-    let mut breaker_rejoins = 0usize;
-    for rep in reps.iter() {
-        if let Some(stats) = rep.engine.governance_stats() {
+
+    /// Launches a slot admitted on replica `r` at `now` (`adm`, decoding
+    /// `out` tokens) and gives it the next key. With `twin`, the position
+    /// of a live original, the slot is that original's hedge clone: it
+    /// copies the original's members and the two are paired; otherwise its
+    /// members are the admission group. The member buffer comes from the
+    /// pool, and the replica's clock and served instant move to the
+    /// admission's end.
+    fn launch(&mut self, r: usize, now: f64, adm: &AdmitOutcome, out: usize, twin: Option<usize>) {
+        let key = self.next_key;
+        self.next_key += 1;
+        let mut members = self.member_pool.pop().unwrap_or_default();
+        let pair = twin.map(|pos| {
+            let orig = &mut self.live[pos];
+            orig.pair = Some(key);
+            orig.key
+        });
+        members.extend_from_slice(twin.map_or(&self.group, |pos| &self.live[pos].members));
+        self.live.push(ClusterSlot {
+            key,
+            replica: r,
+            id: adm.id,
+            admit_s: now,
+            out_tokens: out,
+            members,
+            pair,
+            is_hedge: twin.is_some(),
+        });
+        let rep = &mut self.reps[r];
+        rep.clock = rep.clock.max(adm.end_s);
+        rep.served = rep.served.max(adm.end_s);
+    }
+
+    /// One decode iteration of replica `r`'s mixed-context batch at `now`:
+    /// each finished slot retires, and a replica that drained takes its
+    /// clock from its completions (which carry the run-level jitter). A
+    /// step that fails is a stuck step.
+    fn step(&mut self, r: usize, now: f64) {
+        let rep = &mut self.reps[r];
+        let Ok(out) = rep.stepper.step(rep.engine) else {
+            self.stuck(r, now);
+            return;
+        };
+        rep.clock = out.end_s;
+        rep.served = rep.served.max(out.end_s);
+        for f in out.retired {
+            self.retire(r, &f);
+        }
+        let rep = &mut self.reps[r];
+        if !rep.stepper.is_busy() {
+            rep.clock = rep.drain_now;
+            rep.served = rep.served.max(rep.drain_now);
+        }
+    }
+
+    /// A stuck step: the whole batch of replica `r` is stuck (e.g. an
+    /// unplaceable waiting group), so its slots fail into the retry
+    /// machinery (hedge twins elsewhere keep their queries), their joules
+    /// are booked like an outage's, and the replica takes a failure step.
+    fn stuck(&mut self, r: usize, now: f64) {
+        self.fail_replica(r, VoidCause::Other, now);
+        self.reps[r].fail_step(now, self.cfg.degradation);
+    }
+
+    /// Retires finished slot `f` of replica `r`: a winning hedge cancels
+    /// its loser (whose accrued energy is still booked), every member
+    /// books its latency and queue wait, the breaker, throttle streak and
+    /// degradation level observe the service time, and the slot's energy,
+    /// tokens and batch are booked.
+    fn retire(&mut self, r: usize, f: &FinishedSlot) {
+        let Some(pos) = self.find(r, f.id) else {
+            return;
+        };
+        let slot = self.live.remove(pos);
+        let cfg = self.cfg;
+        let service = f.outcome.total_latency_s() + f.extra_wait_s;
+        let completion = slot.admit_s + service;
+        self.reps[r].drain_now = self.reps[r].drain_now.max(completion);
+        if let Some(lpos) = slot
+            .pair
+            .and_then(|peer| self.live.iter().position(|s| s.key == peer))
+        {
+            let loser = self.live.remove(lpos);
+            let stepper = &mut self.reps[loser.replica].stepper;
+            let spent = stepper.cancel(loser.id).unwrap_or(0.0);
+            self.book_voided(loser.replica, spent);
+            self.tally.hedge_energy_j += spent;
+            recycle(&mut self.member_pool, loser.members);
+        }
+        if slot.is_hedge {
+            // The clone delivered — either it beat a live original or the
+            // original was voided and the pair dissolved.
+            self.tally.hedge_wins += 1;
+        }
+        let mut step_missed = false;
+        let energy_share = f.outcome.total_energy_j() / slot.members.len() as f64;
+        for &k in &slot.members {
+            let arrival_s = self.pq.arrival_s(k);
+            let latency = completion - arrival_s;
+            let wait = slot.admit_s - arrival_s;
+            let missed = cfg.deadline_s.is_some_and(|d| latency > d);
+            step_missed |= missed;
+            for acc in std::iter::once(&mut self.fleet).chain(self.rep_accs.get_mut(r)) {
+                acc.record_query(latency, wait);
+                acc.deadline_misses += usize::from(missed);
+            }
+            if let Some(st) = self.adm.as_mut() {
+                st.classes
+                    .record(self.pq.class_of(k), latency, missed, energy_share);
+            }
+            // Only crash outages mark queries, and they count `crash_lost`
+            // as they do.
+            if self.tally.crash_lost > 0 && self.pq.take_crashed(k) {
+                self.tally.crash_recovered += 1;
+            }
+            // The latency estimate arms hedging and nothing else.
+            if self.cluster.hedge_factor.is_some() {
+                self.lat_est.observe(latency);
+            }
+        }
+        if let Some(st) = self.adm.as_mut() {
+            st.observe_service(service);
+        }
+        let rep = &mut self.reps[r];
+        if let Some(b) = rep.breaker.as_mut() {
+            b.on_success(service, completion);
+        }
+        // Metrics booked; the winner retires its members' arena slots (a
+        // cancelled hedge loser shares these keys and must not release
+        // them again).
+        for &k in &slot.members {
+            self.pq.release(k);
+        }
+        for acc in std::iter::once(&mut self.fleet).chain(self.rep_accs.get_mut(r)) {
+            acc.energy += f.outcome.total_energy_j();
+            acc.tokens += f.outcome.total_generated_tokens() as f64;
+            acc.record_batch(slot.members.len());
+            acc.preemptions += f.outcome.preemptions;
+            if rep.level > 0 {
+                acc.degraded_s += service;
+            }
+        }
+        recycle(&mut self.member_pool, slot.members);
+        let throttled = f.outcome.throttled_s > 0.0;
+        rep.throttle_streak = if throttled {
+            rep.throttle_streak + 1
+        } else {
+            0
+        };
+        if cfg.degradation {
+            rep.level = if throttled || step_missed {
+                (rep.level + 1).min(MAX_DEGRADE_LEVEL)
+            } else {
+                rep.level.saturating_sub(1)
+            };
+        }
+    }
+
+    /// Fails every slot on replica `r` (an outage or a stuck step) at `t`:
+    /// the stepper abandons them, their joules are booked once, and each
+    /// slot is voided for `cause`.
+    fn fail_replica(&mut self, r: usize, cause: VoidCause, t: f64) {
+        let (failed, spent) = self.reps[r].stepper.fail_all();
+        self.book_voided(r, spent);
+        for id in failed {
+            if let Some(pos) = self.find(r, id) {
+                self.void_slot(pos, cause, t);
+            }
+        }
+    }
+
+    /// Voids the live slot at `pos` at instant `t`. If its hedge twin is
+    /// still live, the twin keeps the queries and the pair dissolves;
+    /// otherwise the members count toward `cause` and go back through the
+    /// retry machinery. The member buffer returns to the pool.
+    fn void_slot(&mut self, pos: usize, cause: VoidCause, t: f64) {
+        let slot = self.live.remove(pos);
+        if let Some(peer) = slot.pair {
+            if let Some(p) = self.live.iter_mut().find(|s| s.key == peer) {
+                p.pair = None;
+            }
+        } else {
+            match cause {
+                VoidCause::Crash => {
+                    self.tally.crash_lost += slot.members.len();
+                    for &k in &slot.members {
+                        self.pq.mark_crashed(k);
+                    }
+                }
+                VoidCause::Partition => self.tally.partition_voided += slot.members.len(),
+                VoidCause::Other => {}
+            }
+            let (retries, backoff) = (self.cfg.max_retries, self.cfg.retry_backoff_s);
+            let pq = &mut self.pq;
+            pq.requeue_failed(&slot.members, t, retries, backoff, &mut self.fleet);
+        }
+        recycle(&mut self.member_pool, slot.members);
+    }
+
+    /// Position in `live` of replica `r`'s slot `id`.
+    fn find(&self, r: usize, id: SlotId) -> Option<usize> {
+        self.live.iter().position(|s| s.replica == r && s.id == id)
+    }
+
+    /// Books joules drawn by voided work (an outage, a partition, a stuck
+    /// step or a hedge loss) into the fleet ledger and replica `r`'s own;
+    /// a lone replica has no ledger of its own.
+    fn book_voided(&mut self, r: usize, joules: f64) {
+        self.fleet.energy += joules;
+        if let Some(acc) = self.rep_accs.get_mut(r) {
+            acc.energy += joules;
+        }
+    }
+
+    /// The final report: wall clock, availability, the fleet and
+    /// per-replica serving reports and the summed governance and breaker
+    /// counters, closed by the drain audit.
+    fn finish(mut self) -> FleetRun {
+        let reps = &*self.reps;
+        let n = reps.len();
+        let wall = reps.iter().map(|rep| rep.served).fold(0.0f64, f64::max);
+        let mut down_s = 0.0f64;
+        for rep in reps.iter() {
+            for &(start, recovery) in &rep.outages {
+                down_s += (recovery.min(wall) - start.min(wall)).max(0.0);
+            }
+        }
+        let availability = if wall > 0.0 {
+            (1.0 - down_s / (wall * n as f64)).max(0.0)
+        } else {
+            1.0
+        };
+        // A stranded run (every replica browned out for good) leaves
+        // arrivals queued or undrawn; the offered count includes them.
+        #[cfg(any(test, debug_assertions))]
+        let drained = self.pq.is_exhausted();
+        let offered = self.pq.offered();
+        let cfg = &ServingConfig {
+            queries: offered,
+            ..*self.cfg
+        };
+        let fleet_energy_j = self.fleet.energy;
+        let fleet = self.fleet.into_report(cfg, wall);
+        let mut replica_energy_j: Vec<f64> = self.rep_accs.iter().map(|acc| acc.energy).collect();
+        let mut replicas: Vec<ServingReport> = self
+            .rep_accs
+            .into_iter()
+            .zip(reps.iter())
+            .map(|(acc, rep)| acc.into_report(cfg, rep.served))
+            .collect();
+        if n == 1 {
+            // The lone replica booked into the fleet accumulator; shed,
+            // failed and retry counts are fleet-level decisions.
+            replicas.push(ServingReport {
+                shed_queries: 0,
+                failed_queries: 0,
+                retries: 0,
+                ..fleet
+            });
+            replica_energy_j.push(fleet_energy_j);
+        }
+        let mut governance: Option<GovernanceStats> = None;
+        for stats in reps.iter().filter_map(|rep| rep.engine.governance_stats()) {
             governance
                 .get_or_insert_with(GovernanceStats::default)
                 .absorb(&stats);
         }
-        if let Some(b) = &rep.breaker {
-            breaker_trips += b.trips;
-            breaker_rejoins += b.rejoins;
+        let breakers = || reps.iter().filter_map(|rep| rep.breaker.as_ref());
+        let tally = self.tally;
+        let classes = (self.adm).map(|st| st.classes.into_breakdown(self.pq.class_counts(), wall));
+        let report = ClusterReport {
+            fleet,
+            replicas,
+            availability,
+            crash_events: tally.crash_events,
+            crash_lost: tally.crash_lost,
+            crash_recovered: tally.crash_recovered,
+            hedges_fired: tally.hedges_fired,
+            hedge_wins: tally.hedge_wins,
+            hedge_energy_j: tally.hedge_energy_j,
+            brownout_events: tally.brownout_events,
+            governance,
+            partition_events: tally.partition_events,
+            partition_voided: tally.partition_voided,
+            breaker_trips: breakers().map(|b| b.trips).sum(),
+            breaker_rejoins: breakers().map(|b| b.rejoins).sum(),
+            fleet_energy_j,
+            replica_energy_j,
+            classes,
+        };
+        // Debug and test builds close the fleet's books on every run:
+        // requests and joules, and on every replica the KV blocks and
+        // prefix pins. A fleet that died for good (e.g. every battery flat
+        // with no recharge path) legitimately strands its queue —
+        // conservation only holds for runs that drained, so the stranded
+        // case is exempt.
+        #[cfg(any(test, debug_assertions))]
+        if drained {
+            let violations = crate::audit::audit_cluster(cfg, self.cluster, &report);
+            debug_assert!(violations.is_empty(), "cluster audit: {violations:?}");
+            for (r, rep) in reps.iter().enumerate() {
+                let s = &rep.stepper;
+                debug_assert!(!s.is_busy(), "replica {r} still busy at drain");
+                debug_assert_eq!(s.prefix_outstanding_pins(), 0, "replica {r}: prefix pins");
+                debug_assert_eq!(
+                    s.kv_free_tokens() + s.kv_evictable_tokens(),
+                    s.kv_capacity_tokens(),
+                    "replica {r}: KV blocks"
+                );
+            }
+        }
+        FleetRun {
+            report,
+            offered,
+            ttft: tally.ttft,
+            prompt_tokens: tally.prompt_tokens,
+            cached_tokens: tally.cached_tokens,
         }
     }
-    let classes = adm.map(|st| st.classes.into_breakdown(pq.class_counts(), wall));
-    let report = ClusterReport {
-        fleet,
-        replicas,
-        availability,
-        crash_events,
-        crash_lost,
-        crash_recovered,
-        hedges_fired,
-        hedge_wins,
-        hedge_energy_j,
-        brownout_events,
-        governance,
-        partition_events,
-        partition_voided,
-        breaker_trips,
-        breaker_rejoins,
-        fleet_energy_j,
-        replica_energy_j,
-        classes,
-    };
-    // Debug and test builds close the fleet's books on every run: requests
-    // and joules, and on every replica the KV blocks and prefix pins. A
-    // fleet that died for good (e.g. every battery flat with no recharge
-    // path) legitimately strands its queue — conservation only holds for
-    // runs that drained, so the stranded case is exempt.
-    #[cfg(any(test, debug_assertions))]
-    if drained {
-        let violations = crate::audit::audit_cluster(cfg, cluster, &report);
-        debug_assert!(violations.is_empty(), "cluster audit: {violations:?}");
-        for (r, rep) in reps.iter().enumerate() {
-            let s = &rep.stepper;
-            debug_assert!(!s.is_busy(), "replica {r} still busy at drain");
-            debug_assert_eq!(s.prefix_outstanding_pins(), 0, "replica {r}: prefix pins");
-            debug_assert_eq!(
-                s.kv_free_tokens() + s.kv_evictable_tokens(),
-                s.kv_capacity_tokens(),
-                "replica {r}: KV blocks"
-            );
-        }
-    }
-    FleetRun {
-        report,
-        offered,
-        ttft,
-        prompt_tokens,
-        cached_tokens,
-    }
+}
+
+/// The fleet's admission controller, when it runs the priority policy.
+fn priority(adm: &mut Option<AdmissionState>) -> Option<&mut AdmissionState> {
+    adm.as_mut()
+        .filter(|s| s.cfg.policy == AdmissionPolicy::Priority)
+}
+
+/// Returns a member buffer to the pool, emptied.
+fn recycle(pool: &mut Vec<Vec<QKey>>, mut v: Vec<QKey>) {
+    v.clear();
+    pool.push(v);
 }
 
 #[cfg(test)]
