@@ -8,9 +8,12 @@
 //! study binaries can run them after every smoke and CI can fail loudly
 //! on a broken ledger instead of silently publishing wrong numbers.
 //!
-//! Debug and test builds additionally run the relevant audit inside the
-//! simulators themselves (`debug_assert!`-guarded), making every test an
-//! auditor pass; release binaries pay nothing unless they opt in.
+//! The fleet loop, which every serving simulator runs, also audits itself
+//! at the end of every run that drained, in release builds as well as
+//! debug (`assert!` on the violation list, plus each replica's KV-block
+//! and prefix-pin ledgers), so every test, study and benchmark run is an
+//! auditor pass. A fleet stranded for good, which legitimately abandons
+//! its queue, is exempt.
 
 use crate::cluster::{ClusterConfig, ClusterReport};
 use crate::serving::{ClassBreakdown, Priority, ServingConfig, ServingReport};

@@ -1549,7 +1549,6 @@ impl<S: Source> FleetLoop<'_, '_, S> {
         };
         // A stranded run (every replica browned out for good) leaves
         // arrivals queued or undrawn; the offered count includes them.
-        #[cfg(any(test, debug_assertions))]
         let drained = self.pq.is_exhausted();
         let offered = self.pq.offered();
         let cfg = &ServingConfig {
@@ -1605,21 +1604,19 @@ impl<S: Source> FleetLoop<'_, '_, S> {
             replica_energy_j,
             classes,
         };
-        // Debug and test builds close the fleet's books on every run:
-        // requests and joules, and on every replica the KV blocks and
-        // prefix pins. A fleet that died for good (e.g. every battery flat
-        // with no recharge path) legitimately strands its queue —
-        // conservation only holds for runs that drained, so the stranded
-        // case is exempt.
-        #[cfg(any(test, debug_assertions))]
+        // Every build closes the fleet's books on every run: requests and
+        // joules, and on every replica the KV blocks and prefix pins. A
+        // fleet that died for good (e.g. every battery flat with no
+        // recharge path) legitimately strands its queue — conservation only
+        // holds for runs that drained, so the stranded case is exempt.
         if drained {
             let violations = crate::audit::audit_cluster(cfg, self.cluster, &report);
-            debug_assert!(violations.is_empty(), "cluster audit: {violations:?}");
+            assert!(violations.is_empty(), "cluster audit: {violations:?}");
             for (r, rep) in reps.iter().enumerate() {
                 let s = &rep.stepper;
-                debug_assert!(!s.is_busy(), "replica {r} still busy at drain");
-                debug_assert_eq!(s.prefix_outstanding_pins(), 0, "replica {r}: prefix pins");
-                debug_assert_eq!(
+                assert!(!s.is_busy(), "replica {r} still busy at drain");
+                assert_eq!(s.prefix_outstanding_pins(), 0, "replica {r}: prefix pins");
+                assert_eq!(
                     s.kv_free_tokens() + s.kv_evictable_tokens(),
                     s.kv_capacity_tokens(),
                     "replica {r}: KV blocks"
