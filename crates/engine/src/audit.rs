@@ -49,7 +49,6 @@ pub fn audit_serving(cfg: &ServingConfig, report: &ServingReport) -> Vec<String>
     for (name, x) in [
         ("wall_s", report.wall_s),
         ("total_tokens", report.total_tokens),
-        ("energy_per_query_j", report.energy_per_query_j),
         ("achieved_qps", report.achieved_qps),
         ("avg_latency_s", report.avg_latency_s),
         ("avg_queue_wait_s", report.avg_queue_wait_s),
@@ -65,8 +64,10 @@ pub fn audit_serving(cfg: &ServingConfig, report: &ServingReport) -> Vec<String>
             report.slo_attainment
         ));
     }
-    // Percentiles are NaN exactly when nothing completed.
+    // Percentiles and the per-query energy are NaN exactly when nothing
+    // completed.
     for (name, x) in [
+        ("energy_per_query_j", report.energy_per_query_j),
         ("p50_latency_s", report.p50_latency_s),
         ("p95_latency_s", report.p95_latency_s),
         ("p99_latency_s", report.p99_latency_s),
@@ -78,6 +79,12 @@ pub fn audit_serving(cfg: &ServingConfig, report: &ServingReport) -> Vec<String>
                 report.completed
             ));
         }
+    }
+    let energy = report.energy_per_query_j;
+    if report.completed > 0 && (!energy.is_finite() || energy < 0.0) {
+        v.push(format!(
+            "energy_per_query_j must be finite and non-negative, got {energy}"
+        ));
     }
     v
 }

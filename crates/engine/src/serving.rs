@@ -504,7 +504,9 @@ pub struct ServingReport {
     /// Energy booked per completed query, joules: every joule the device
     /// drew on the stream, completed or voided work alike (cancelled hedge
     /// losers, and slots voided by crashes, brown-outs, partitions and
-    /// stuck steps), over the completed count; zero when none completed.
+    /// stuck steps), over the completed count; NaN when none completed
+    /// (joules spent on nothing delivered have no per-query price), like
+    /// the latency percentiles.
     pub energy_per_query_j: f64,
     /// Total wall time, seconds.
     pub wall_s: f64,

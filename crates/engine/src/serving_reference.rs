@@ -288,7 +288,7 @@ impl Accum {
             p95_latency_s: stats::percentile(&self.latencies, 95.0).unwrap_or(f64::NAN),
             avg_batch: stats::mean(&self.batches).unwrap_or(0.0),
             energy_per_query_j: if completed == 0 {
-                0.0
+                f64::NAN
             } else {
                 self.energy / completed as f64
             },

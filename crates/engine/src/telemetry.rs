@@ -247,7 +247,7 @@ impl ServingAccumulator {
                 self.batch_sum / self.batch_count as f64
             },
             energy_per_query_j: if completed == 0 {
-                0.0
+                f64::NAN
             } else {
                 self.energy / completed as f64
             },
@@ -362,6 +362,18 @@ mod tests {
         assert!(r.p99_latency_s.is_nan());
         assert!(r.p50_latency_s.is_nan());
         assert_eq!(r.avg_latency_s, 0.0);
+    }
+
+    #[test]
+    fn joules_with_no_completion_are_not_free() {
+        let acc = ServingAccumulator {
+            energy: 12.5,
+            failed: 3,
+            ..ServingAccumulator::default()
+        };
+        let r = acc.into_report(&cfg(), 4.0);
+        assert_eq!(r.completed, 0);
+        assert!(r.energy_per_query_j.is_nan(), "{}", r.energy_per_query_j);
     }
 
     #[test]

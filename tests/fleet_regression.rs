@@ -9,7 +9,8 @@
 //! how a fleet routes, admits, voids, retries or books its queries shows up
 //! as a changed hash. A coverage check keeps the grid honest: every
 //! mechanism it names must fire somewhere in it. Two ledger tests check
-//! that work voided by a brown-out or a crash books the joules it drew.
+//! that work voided by a brown-out or a crash books the joules it drew,
+//! and one that a run with no completions reports no per-query energy.
 
 use edgereasoning::engine::cluster::BreakerConfig;
 use edgereasoning::engine::engine::{EngineConfig, OomPolicy};
@@ -211,7 +212,7 @@ fn golden_runs() -> Vec<(usize, usize, ClusterReport)> {
 const GOLDEN: [[u64; 2]; 10] = [
     [0xf1f6_5ea6_1b1c_87a5, 0x1779_9064_7301_90d2],
     [0x7709_423f_9234_38e6, 0x0f45_50f7_8d1a_1ef5],
-    [0x07a4_778e_b345_b705, 0xed10_f5bf_fe83_6300],
+    [0x07a4_778e_b345_b705, 0x5e4b_3357_d1de_0f83],
     [0xaa0f_4bfd_67f2_e238, 0x2bab_7094_5031_698a],
     [0x6e67_58cb_589e_2c3d, 0xa219_14a8_18bb_7553],
     [0xaa39_89ad_06d8_f56c, 0x340b_beb6_9f58_29b0],
@@ -263,12 +264,9 @@ fn every_fleet_mechanism_fires_in_the_grid() {
     assert!(quiet.is_empty(), "mechanisms that never fired: {quiet:?}");
 }
 
-/// A brown-out voids the batch it interrupts, and the joules that batch
-/// drew are booked: one replica on a 20 J battery that never recharges
-/// browns out during its only batch, so the report books some energy, and
-/// no more than the governor saw the device draw.
-#[test]
-fn brownout_voided_work_books_its_joules() {
+/// One replica on a 20 J battery that never recharges, serving one
+/// query: it browns out during its only batch.
+fn flat_battery_run() -> ClusterReport {
     let battery = GovernanceConfig::default()
         .with_trip(10_000.0, 9_000.0)
         .with_battery(BatteryConfig {
@@ -277,7 +275,15 @@ fn brownout_voided_work_books_its_joules() {
         });
     let cluster = ClusterConfig::new(1, EngineConfig::vllm().with_governance(battery));
     let cfg = ServingConfig::new(2.0, 1, 1, 128, 512);
-    let report = simulate_cluster(&cluster, MODEL, Precision::Fp16, &cfg, 7).expect("runs");
+    simulate_cluster(&cluster, MODEL, Precision::Fp16, &cfg, 7).expect("runs")
+}
+
+/// A brown-out voids the batch it interrupts, and the joules that batch
+/// drew are booked: the flat battery's report books some energy, and no
+/// more than the governor saw the device draw.
+#[test]
+fn brownout_voided_work_books_its_joules() {
+    let report = flat_battery_run();
     let drawn_j = report.governance.expect("governed").energy_drawn_j;
     assert!(report.brownout_events > 0, "the battery never browned out");
     assert!(
@@ -285,6 +291,18 @@ fn brownout_voided_work_books_its_joules() {
         "booked {} J of the {drawn_j} J drawn",
         report.fleet_energy_j
     );
+}
+
+/// A run in which nothing completed is not free: the flat battery's only
+/// query fails after drawing real joules, and with no completion to share
+/// them the per-query energy reads NaN, as the latency percentiles do.
+#[test]
+fn a_run_with_no_completions_has_no_energy_per_query() {
+    let report = flat_battery_run();
+    assert_eq!(report.fleet.completed, 0, "the query completed");
+    assert!(report.fleet_energy_j > 0.0, "no joules were booked");
+    let per_query = report.fleet.energy_per_query_j;
+    assert!(per_query.is_nan(), "energy per query {per_query} J");
 }
 
 /// Crash-voided work is booked beside the completions: with crashes that

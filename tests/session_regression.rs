@@ -174,18 +174,18 @@ const GOLDEN: [[u64; GOLDEN_CONFIGS]; 15] = [
         0x9403_4104_e7e3_8f0f,
     ],
     [
-        0x2ecd_881e_eaa3_303a,
-        0x03dd_93a9_81a2_df92,
-        0x2ecd_881e_eaa3_303a,
-        0x2ecd_881e_eaa3_303a,
-        0x03dd_93a9_81a2_df92,
+        0xd5a4_eb7e_8b73_5071,
+        0x7c05_6f5b_b13f_9059,
+        0xd5a4_eb7e_8b73_5071,
+        0xd5a4_eb7e_8b73_5071,
+        0x7c05_6f5b_b13f_9059,
     ],
     [
-        0x2e81_1895_a4f6_11a5,
-        0x03dd_93a9_81a2_df92,
-        0x2e81_1895_a4f6_11a5,
-        0x2e81_1895_a4f6_11a5,
-        0x03dd_93a9_81a2_df92,
+        0xff28_87e7_28c8_0c10,
+        0x7c05_6f5b_b13f_9059,
+        0xff28_87e7_28c8_0c10,
+        0xff28_87e7_28c8_0c10,
+        0x7c05_6f5b_b13f_9059,
     ],
     [
         0xe973_6339_b132_f48c,
