@@ -97,10 +97,7 @@ pub fn evaluate(
 ) -> EvalResult {
     assert!(opts.parallel > 0, "parallel factor must be >= 1");
     let ctx = EvalContext::new(model, precision, bench, config);
-    let mut questions = bench.generate(opts.seed);
-    if let Some(n) = opts.subset {
-        questions.truncate(n);
-    }
+    let questions = bench.generate_subset(opts.seed, opts.subset.unwrap_or(usize::MAX));
     assert!(
         !questions.is_empty(),
         "evaluation needs at least one question"

@@ -162,9 +162,19 @@ impl Benchmark {
 
     /// Generates the benchmark's questions deterministically from a seed.
     pub fn generate(self, seed: u64) -> Vec<Question> {
+        self.generate_subset(seed, usize::MAX)
+    }
+
+    /// The first `n` questions of [`generate`](Self::generate) (the paper
+    /// uses 150-question and 50-question subsets in Tables II and VI). The
+    /// questions come from one sequential stream, so only the first
+    /// `min(n, count)` are drawn, and they are bit-identical to the full
+    /// set's prefix.
+    pub fn generate_subset(self, seed: u64, n: usize) -> Vec<Question> {
         let p = self.params();
         let mut rng = Rng::seed_from_u64(seed ^ 0x5745_4c44 ^ (self.tag() << 32));
         (0..p.count)
+            .take(n)
             .map(|idx| {
                 let difficulty = rng.normal_with(p.difficulty_mean, p.difficulty_std);
                 let u = rng.next_f64();
@@ -184,14 +194,6 @@ impl Benchmark {
                 }
             })
             .collect()
-    }
-
-    /// A subsample of the first `n` questions (the paper uses 150-question
-    /// and 50-question subsets in Tables II and VI).
-    pub fn generate_subset(self, seed: u64, n: usize) -> Vec<Question> {
-        let mut qs = self.generate(seed);
-        qs.truncate(n);
-        qs
     }
 
     fn tag(self) -> u64 {
