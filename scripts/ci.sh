@@ -27,6 +27,12 @@ cargo test --release -q
 echo "==> cargo test -q --workspace"
 cargo test --release -q --workspace
 
+# The engine's unit tests and crates/engine/tests run only here with
+# debug_assert! on (tier-1 covers the root package alone); one of those
+# assertions is the stepper's FailFast-never-queues placement invariant.
+echo "==> cargo test -q --workspace (debug: debug_assert! invariants on)"
+cargo test -q --workspace
+
 # Every study smoke runs twice: the CSV must be non-empty, byte-identical
 # across the two runs (determinism) and byte-identical to the committed
 # outputs/<study>_smoke.csv (no silent decision drift).
