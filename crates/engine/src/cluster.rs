@@ -1269,10 +1269,8 @@ impl<S: Source> FleetLoop<'_, '_, S> {
         for pos in 0..self.live.len() {
             let orig = &self.live[pos];
             // Members are admitted in seq order and arrivals are monotone
-            // in seq, so the oldest member is always the first:
-            // `max_k(now - arrival_k) == now - arrival_0` bit-exactly (IEEE
-            // subtraction is monotone, and both sides are >= +0.0, the old
-            // fold's init).
+            // in seq, so the first member is the oldest and its age is the
+            // group's.
             let age = now - self.pq.arrival_s(orig.members[0]);
             let eligible = orig.pair.is_none() && !orig.is_hedge && age > threshold;
             if !eligible {
@@ -1317,13 +1315,20 @@ impl<S: Source> FleetLoop<'_, '_, S> {
     }
 
     /// Launches a slot admitted on replica `r` at `now` (`adm`, decoding
-    /// `out` tokens) and gives it the next key. With `twin`, the position
+    /// `out_tokens` tokens) and gives it the next key. With `twin`, the position
     /// of a live original, the slot is that original's hedge clone: it
     /// copies the original's members and the two are paired; otherwise its
     /// members are the admission group. The member buffer comes from the
     /// pool, and the replica's clock and served instant move to the
     /// admission's end.
-    fn launch(&mut self, r: usize, now: f64, adm: &AdmitOutcome, out: usize, twin: Option<usize>) {
+    fn launch(
+        &mut self,
+        r: usize,
+        now: f64,
+        adm: &AdmitOutcome,
+        out_tokens: usize,
+        twin: Option<usize>,
+    ) {
         let key = self.next_key;
         self.next_key += 1;
         let mut members = self.member_pool.pop().unwrap_or_default();
@@ -1338,7 +1343,7 @@ impl<S: Source> FleetLoop<'_, '_, S> {
             replica: r,
             id: adm.id,
             admit_s: now,
-            out_tokens: out,
+            out_tokens,
             members,
             pair,
             is_hedge: twin.is_some(),

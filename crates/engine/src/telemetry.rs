@@ -365,18 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn joules_with_no_completion_are_not_free() {
-        let acc = ServingAccumulator {
-            energy: 12.5,
-            failed: 3,
-            ..ServingAccumulator::default()
-        };
-        let r = acc.into_report(&cfg(), 4.0);
-        assert_eq!(r.completed, 0);
-        assert!(r.energy_per_query_j.is_nan(), "{}", r.energy_per_query_j);
-    }
-
-    #[test]
     fn merge_is_consistent_with_single_shard_ingestion() {
         let n = 10 * EXACT_SAMPLE_CAP / 4;
         let sample = |i: usize| 0.01 * (i % 997) as f64 + 0.1;
