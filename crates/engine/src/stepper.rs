@@ -1363,6 +1363,44 @@ mod tests {
         assert_eq!(stepper.kv_free_tokens(), stepper.kv_capacity_tokens());
     }
 
+    /// Cancelling a slot drops its waiting groups with it: a later
+    /// admission that reuses the slab index must not inherit them.
+    #[test]
+    fn cancel_drops_waiting_groups_before_the_index_is_reused() {
+        let long = GenerationRequest::new(128, 512).with_batch(8);
+        let mut e = pressured(OomPolicy::PreemptRecompute, 1600);
+        let mut stepper =
+            BatchStepper::new(&e, ModelId::Dsr1Qwen1_5b, Precision::Fp16).expect("fits");
+        let a = stepper.admit(&mut e, 0.0, &long).expect("admits");
+        for _ in 0..3 {
+            stepper.step(&mut e).expect("steps");
+        }
+        assert_eq!(stepper.waiting.len(), 3, "pressure must queue A's tail");
+        stepper
+            .admit(&mut e, stepper.clock_s(), &GenerationRequest::new(128, 256))
+            .expect("admits");
+        stepper.cancel(a.id).expect("A is live");
+        let c = stepper
+            .admit(&mut e, stepper.clock_s(), &long)
+            .expect("admits");
+        assert!(
+            stepper.slots[0].as_ref().is_some_and(|s| s.id == c.id),
+            "C reuses A's slab index"
+        );
+        let mut done = Vec::new();
+        for _ in 0..1_000 {
+            if !stepper.is_busy() {
+                break;
+            }
+            done.extend(stepper.step(&mut e).expect("steps").retired);
+        }
+        assert!(!stepper.is_busy(), "drains within the step bound");
+        let fc = done.iter().find(|f| f.id == c.id).expect("C retires");
+        assert_eq!(fc.outcome.batch, 8);
+        assert_eq!(fc.outcome.generated_tokens, 512);
+        assert_eq!(stepper.kv_free_tokens(), stepper.kv_capacity_tokens());
+    }
+
     #[test]
     fn failfast_admission_reserves_outstanding_growth() {
         let mut e = pressured(OomPolicy::FailFast, 1600);

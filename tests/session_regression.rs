@@ -329,3 +329,42 @@ fn session_wall_clock_is_the_last_busy_instant_under_preemption() {
         assert_eq!(r.serving.wall_s, wall_s, "seed {seed}");
     }
 }
+
+#[test]
+fn failed_slots_release_their_prefix_pins_in_slab_order() {
+    // A stuck step or a brown-out abandons every live slot at once, and
+    // each abandoned slot drops its prefix pin. Released pins stamp the
+    // tree's LRU order, so which cold path is evicted next depends on the
+    // release order: slab-index order, not admission order, which differs
+    // once retired slots' indices are reused. Both runs fail slots with
+    // pinned prefixes, the first through stuck steps under recompute
+    // pressure, the second through brown-outs of a 120 J battery.
+    let cfg = SessionConfig::new(8).with_deadline(60.0);
+    let battery = GovernanceConfig::default()
+        .with_trip(10_000.0, 9_000.0)
+        .with_battery(BatteryConfig {
+            capacity_j: 120.0,
+            recharge: RechargeProfile::Constant { watts: 8.0 },
+            ..BatteryConfig::default()
+        });
+    let cases = [
+        (
+            SessionMixConfig::session_heavy(0.4, 16, 1),
+            pressured(OomPolicy::PreemptRecompute, 3000),
+            1,
+            0x5067_4fa4_8964_e1a8_u64,
+        ),
+        (
+            SessionMixConfig::session_heavy(0.4, 16, 0),
+            pressured(OomPolicy::PreemptRecompute, 4000).with_governance(battery),
+            0,
+            0xf947_7cfe_37a0_3d18,
+        ),
+    ];
+    for (mix, engine_cfg, seed, want) in cases {
+        let mut e = SimEngine::new(engine_cfg, seed);
+        let report = serve(&mut e, &cfg, mix_trace(mix));
+        let got = fingerprint(&(report, e.counters()));
+        assert_eq!(got, want, "seed {seed}: {got:#018x}");
+    }
+}
