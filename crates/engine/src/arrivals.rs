@@ -69,6 +69,48 @@ pub enum ArrivalProcess {
     },
 }
 
+impl ArrivalProcess {
+    /// Checks the process parameters: `amplitude` in `[0, 1]`, a positive
+    /// `period_s`, `burst_mult > 1` and positive dwells.
+    ///
+    /// # Errors
+    ///
+    /// The rule the first out-of-range parameter broke.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let broken = match *self {
+            Self::PoissonLegacy | Self::Poisson => None,
+            Self::Diurnal {
+                period_s,
+                amplitude,
+            } => [
+                (positive(period_s), "diurnal period must be positive"),
+                (
+                    (0.0..=1.0).contains(&amplitude),
+                    "diurnal amplitude must be in [0, 1]",
+                ),
+            ]
+            .into_iter()
+            .find(|&(ok, _)| !ok),
+            Self::FlashCrowd {
+                burst_mult,
+                mean_calm_s,
+                mean_burst_s,
+            } => [
+                (
+                    burst_mult.is_finite() && burst_mult > 1.0,
+                    "burst multiplier must exceed 1",
+                ),
+                (positive(mean_calm_s), "mean calm dwell must be positive"),
+                (positive(mean_burst_s), "mean burst dwell must be positive"),
+            ]
+            .into_iter()
+            .find(|&(ok, _)| !ok),
+        };
+        broken.map_or(Ok(()), |(_, rule)| Err(rule.to_string()))
+    }
+}
+
 impl std::fmt::Display for ArrivalProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -97,44 +139,12 @@ impl ArrivalGen {
     ///
     /// # Panics
     ///
-    /// Panics if `qps` is not finite and positive, or if the process
-    /// parameters are out of range (`amplitude` outside `[0, 1]`,
-    /// non-positive `period_s`, `burst_mult <= 1`, non-positive dwells).
+    /// Panics if `qps` is not finite and positive, or if
+    /// [`ArrivalProcess::validate`] rejects the process parameters.
     pub fn new(process: ArrivalProcess, qps: f64, seed: u64) -> Self {
         assert!(qps.is_finite() && qps > 0.0, "arrival qps must be positive");
-        match process {
-            ArrivalProcess::PoissonLegacy | ArrivalProcess::Poisson => {}
-            ArrivalProcess::Diurnal {
-                period_s,
-                amplitude,
-            } => {
-                assert!(
-                    period_s.is_finite() && period_s > 0.0,
-                    "diurnal period must be positive"
-                );
-                assert!(
-                    (0.0..=1.0).contains(&amplitude),
-                    "diurnal amplitude must be in [0, 1]"
-                );
-            }
-            ArrivalProcess::FlashCrowd {
-                burst_mult,
-                mean_calm_s,
-                mean_burst_s,
-            } => {
-                assert!(
-                    burst_mult.is_finite() && burst_mult > 1.0,
-                    "burst multiplier must exceed 1"
-                );
-                assert!(
-                    mean_calm_s.is_finite() && mean_calm_s > 0.0,
-                    "mean calm dwell must be positive"
-                );
-                assert!(
-                    mean_burst_s.is_finite() && mean_burst_s > 0.0,
-                    "mean burst dwell must be positive"
-                );
-            }
+        if let Err(e) = process.validate() {
+            panic!("{e}");
         }
         Self {
             rng: Rng::seed_from_u64(seed ^ ARRIVAL_STREAM),

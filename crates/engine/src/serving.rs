@@ -950,7 +950,8 @@ pub fn simulate_serving_continuous(
 ///
 /// # Errors
 ///
-/// As [`simulate_serving_continuous`].
+/// As [`simulate_serving_continuous`], and [`EngineError::InvalidRequest`]
+/// when [`ArrivalProcess::validate`] rejects `process`.
 pub fn simulate_serving_traffic(
     engine: &mut InferenceEngine,
     model: ModelId,
@@ -983,6 +984,9 @@ fn serve_device(
 ) -> Result<ServingReport, EngineError> {
     cfg.validate()
         .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
+    process
+        .validate()
+        .map_err(|e| EngineError::InvalidRequest(format!("arrival process: {e}")))?;
     if kind == SchedulerKind::Static && cfg.admission.is_some() {
         return Err(EngineError::InvalidRequest(
             "priority admission requires the continuous scheduler".into(),
@@ -1754,6 +1758,33 @@ mod tests {
             (0..64).map(|s| mix.class_of(1, s)).collect::<Vec<_>>(),
             (0..64).map(|s| mix.class_of(2, s)).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn invalid_arrival_process_is_an_error_not_a_panic() {
+        let mut e = engine();
+        for process in [
+            ArrivalProcess::Diurnal {
+                period_s: 0.0,
+                amplitude: 0.5,
+            },
+            ArrivalProcess::FlashCrowd {
+                burst_mult: 1.0,
+                mean_calm_s: 10.0,
+                mean_burst_s: 2.0,
+            },
+        ] {
+            let err = simulate_serving_traffic(
+                &mut e,
+                ModelId::Dsr1Qwen1_5b,
+                Precision::Fp16,
+                &cfg(1.0, 8),
+                process,
+                1,
+            )
+            .expect_err("invalid arrival process");
+            assert!(matches!(err, EngineError::InvalidRequest(_)), "{err:?}");
+        }
     }
 
     #[test]
