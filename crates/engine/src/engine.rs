@@ -13,10 +13,10 @@ use edgereasoning_soc::spec::{GpuSpec, OrinSpec, PowerMode};
 use edgereasoning_soc::thermal::{GovernanceConfig, GovernanceStats, ThermalGovernor};
 use serde::{Deserialize, Serialize};
 
-use crate::outcome::{InferenceOutcome, TbtSample};
+use crate::outcome::InferenceOutcome;
 use crate::plan_cache::{EngineCounters, PhaseKey, PhaseKind, PhasePlanCache};
 use crate::request::GenerationRequest;
-use crate::stepper::BatchStepper;
+use crate::stepper::{idle_gap, BatchStepper};
 use crate::EngineError;
 
 /// The serving stacks compared in the paper's Table IX.
@@ -99,10 +99,10 @@ pub struct EngineConfig {
     pub power_ramp_tau_s: f64,
     /// Behaviour when the KV cache runs out mid-generation.
     pub oom_policy: OomPolicy,
-    /// Maximum [`TbtSample`]s retained per generation (stride-doubling
-    /// downsample beyond the cap; 0 keeps every sample). Recording never
-    /// feeds back into phase aggregates, so the cap cannot change
-    /// TTFT/TBT statistics.
+    /// Maximum [`TbtSample`](crate::outcome::TbtSample)s retained per
+    /// generation (stride-doubling downsample beyond the cap; 0 keeps every
+    /// sample). Recording never feeds back into phase aggregates, so the
+    /// cap cannot change TTFT/TBT statistics.
     pub tbt_trace_cap: usize,
     /// Optional closed-loop thermal/battery governance
     /// ([`edgereasoning_soc::thermal`]). `None` — the default — keeps every
@@ -499,25 +499,12 @@ impl InferenceEngine {
         }
     }
 
-    /// The run tail of every generation, called by the stepper as each slot
-    /// retires: one run-level jitter draw, the DVFS power ramp, and outcome
-    /// assembly. Also returns the jitter factor so the stepper can scale the
-    /// slot's wait by the same draw.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finalize_parts(
-        &mut self,
-        model: ModelId,
-        prec: Precision,
-        batch: usize,
-        prompt_tokens: usize,
-        generated_tokens: usize,
-        prefill: PhaseStats,
-        decode: PhaseStats,
-        trace: Vec<TbtSample>,
-        preemptions: usize,
-        recomputed_tokens: usize,
-        throttled_s: f64,
-    ) -> (InferenceOutcome, f64) {
+    /// The run tail of every generation, applied by the stepper to each
+    /// outcome as its slot retires: one run-level jitter draw scales both
+    /// phases, the DVFS power ramp reshapes their power, and the fixed
+    /// per-request host overhead is set. Returns the jitter so the stepper
+    /// can scale the slot's wait by the same draw.
+    pub(crate) fn finish_run(&mut self, outcome: &mut InferenceOutcome) -> f64 {
         // Run-level wall-clock variability (scheduling, thermals) that
         // per-kernel noise averages away over hundreds of launches.
         let jitter = self.run_rng.jitter(self.config.run_noise);
@@ -526,31 +513,15 @@ impl InferenceEngine {
             energy_j: p.energy_j * jitter,
             ..*p
         };
-        let prefill = scale_phase(&prefill);
-        let decode = scale_phase(&decode);
-
         // DVFS power ramp: dynamic power rises toward steady state over
         // ~10 s, so short generations consume far less energy per token.
-        let idle_w = self.gpu.power_model().idle_w;
+        let idle_w = self.idle_w();
         let tau = self.config.power_ramp_tau_s;
-        let prefill = apply_ramp(&prefill, 0.0, idle_w, tau);
-        let decode = apply_ramp(&decode, prefill.latency_s, idle_w, tau);
-
-        let outcome = InferenceOutcome {
-            model,
-            precision: prec,
-            batch,
-            prompt_tokens,
-            generated_tokens,
-            prefill,
-            decode,
-            host_s: self.config.request_overhead_s,
-            tbt_trace: trace,
-            preemptions,
-            recomputed_tokens,
-            throttled_s,
-        };
-        (outcome, jitter)
+        outcome.prefill = apply_ramp(&scale_phase(&outcome.prefill), 0.0, idle_w, tau);
+        let decode_start = outcome.prefill.latency_s;
+        outcome.decode = apply_ramp(&scale_phase(&outcome.decode), decode_start, idle_w, tau);
+        outcome.host_s = self.config.request_overhead_s;
+        jitter
     }
 
     /// Runs only a prefill pass (used by the §IV characterization sweeps).
@@ -610,14 +581,8 @@ impl InferenceEngine {
         let mut step_det = base_det;
         step_det.merge(&ctx_det);
         let mut step = self.gpu.perturb_phase(&step_det);
-        let idle_w = self.gpu.power_model().idle_w;
         let host = self.config.host_per_step_s + self.config.host_per_seq_step_s * batch as f64;
-        step.merge(&PhaseStats {
-            latency_s: host,
-            energy_j: host * idle_w,
-            avg_power_w: idle_w,
-            ..PhaseStats::default()
-        });
+        step.merge(&idle_gap(host, self.idle_w()));
         step
     }
 }

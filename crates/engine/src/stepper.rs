@@ -20,7 +20,8 @@
 //! [`PhasePlanCache`](crate::plan_cache::PhasePlanCache), *exactly one*
 //! stochastic perturbation draw per phase, the decode-base memo,
 //! fault/derate hooks on the simulated wall clock, governor feeding, and
-//! the shared [`finalize_parts`](InferenceEngine) run tail. When the queue
+//! the engine's shared run tail (run-level jitter, DVFS ramp and host
+//! overhead, applied to each outcome as its slot retires). When the queue
 //! is drained — every admission happens while the stepper is empty, so
 //! batches never actually interleave — each request's phase keys, float
 //! operations and RNG draws are those of its own `run`, and the produced
@@ -32,6 +33,19 @@
 //! attention aggregate per cohort, one perturbation draw, and the iteration
 //! cost is attributed to the slots in proportion to their share of the
 //! deterministic energy.
+//!
+//! # One step, three phases
+//!
+//! [`step`](BatchStepper::step) readmits waiting groups and then runs
+//! three phases: grow every live sequence by the iteration's chunk
+//! (reclaiming cold prefix-tree paths, then preempting the youngest
+//! sequence under recompute preemption), one mixed-context decode
+//! iteration with its per-slot attribution, and retirement. Retirement,
+//! [`cancel`](BatchStepper::cancel) and [`fail_all`](BatchStepper::fail_all)
+//! share one teardown per kind of state: one pass that drops cohorts and
+//! returns their sequences and buffers, one that takes a slot out of the
+//! slab with its prefix pin, and one reset of the slab once nothing is
+//! live.
 
 use std::collections::VecDeque;
 
@@ -43,7 +57,7 @@ use edgereasoning_kernels::phases::{
 use edgereasoning_soc::gpu::PhaseStats;
 
 use crate::engine::{InferenceEngine, OomPolicy};
-use crate::kv_cache::{KvCacheManager, SeqId};
+use crate::kv_cache::{KvCacheManager, KvError, SeqId};
 use crate::outcome::{InferenceOutcome, TbtSample, TraceRec};
 use crate::plan_cache::{PhaseKey, PhaseKind};
 use crate::prefix_cache::{PrefixCache, PrefixCacheStats, PrefixHandle};
@@ -127,6 +141,43 @@ struct Slot {
     prefix_path: Option<PrefixHandle>,
 }
 
+impl Slot {
+    /// Joules drawn so far: what a cancelled or failed slot books.
+    fn spent_j(&self) -> f64 {
+        self.prefill.energy_j + self.decode.energy_j
+    }
+
+    /// Assembles the slot's outcome and runs it through the engine's run
+    /// tail; the slot's wait scales by the same run-level jitter draw.
+    fn finish(
+        self,
+        engine: &mut InferenceEngine,
+        model: ModelId,
+        precision: Precision,
+    ) -> FinishedSlot {
+        let mut outcome = InferenceOutcome {
+            model,
+            precision,
+            batch: self.batch,
+            prompt_tokens: self.prompt_tokens,
+            generated_tokens: self.max_new_tokens,
+            prefill: self.prefill,
+            decode: self.decode,
+            host_s: 0.0,
+            tbt_trace: self.trace.into_vec(),
+            preemptions: self.preemptions,
+            recomputed_tokens: self.recomputed_tokens,
+            throttled_s: self.throttled_s,
+        };
+        let jitter = engine.finish_run(&mut outcome);
+        FinishedSlot {
+            id: self.id,
+            outcome,
+            extra_wait_s: self.wait_s * jitter,
+        }
+    }
+}
+
 /// A group of live sequences of one slot sharing a progress point.
 #[derive(Debug, Clone)]
 struct Cohort {
@@ -168,9 +219,9 @@ pub struct BatchStepper {
     free: Vec<usize>,
     /// Live slot indices in admission order. Every per-slot walk (wait
     /// charging, retirement, readmission eligibility, fail-all) iterates
-    /// this, both for O(live) cost and because retirement order drives
-    /// `finalize_parts`'s RNG draws — with index reuse, ascending slot
-    /// index no longer equals admission order.
+    /// this, both for O(live) cost and because retirement order drives the
+    /// run tail's RNG draws — with index reuse, ascending slot index no
+    /// longer equals admission order.
     order: Vec<usize>,
     cohorts: Vec<Cohort>,
     waiting: VecDeque<WaitEntry>,
@@ -376,6 +427,43 @@ impl BatchStepper {
         }
     }
 
+    /// Takes slot `idx` out of the slab, releasing its prefix pin and
+    /// freeing its index: the one slot teardown of retirement,
+    /// cancellation and failure. The caller drops `idx` from `order`.
+    fn take_slot(&mut self, idx: usize) -> Option<Slot> {
+        let s = self.slots[idx].take()?;
+        self.unpin_prefix(s.prefix_path, s.batch);
+        self.free.push(idx);
+        Some(s)
+    }
+
+    /// Drops the slab shells once nothing is live, so slab capacity never
+    /// outlives a burst across a long serving run.
+    fn reset_if_idle(&mut self) {
+        if !self.is_busy() {
+            self.slots.clear();
+            self.free.clear();
+            self.waiting.clear();
+        }
+    }
+
+    /// Drops the cohorts `dead` selects in one stable pass (survivors keep
+    /// their order, and with it every later phase key and RNG draw),
+    /// counting their sequences done on their slots and returning them to
+    /// the KV pool. Returns whether any cohort was dropped, or the first
+    /// KV release failure once every sequence has been released.
+    fn drop_cohorts(&mut self, mut dead: impl FnMut(&Cohort) -> bool) -> Result<bool, KvError> {
+        let live = self.cohorts.len();
+        let mut freed = Ok(());
+        for c in self.cohorts.extract_if(.., |c| dead(c)) {
+            if let Some(s) = self.slots[c.slot].as_mut() {
+                s.done_seqs += c.seqs.len();
+            }
+            freed = freed.and(free_seqs(&mut self.kv, &mut self.seq_pool, c.seqs));
+        }
+        freed.map(|()| self.cohorts.len() < live)
+    }
+
     /// Charges `busy` seconds of other-request work to every unretired
     /// slot except `except`.
     fn charge_wait(&mut self, busy: f64, except: usize) {
@@ -484,7 +572,7 @@ impl BatchStepper {
         };
         if !feasible {
             self.unpin_prefix(prefix_path, req.batch);
-            return Err(oom_error(&self.kv, req));
+            return Err(oom_error(&self.kv, req.batch * total_tokens));
         }
 
         // Reuse a retired slab index when one is free; the slab stays sized
@@ -572,8 +660,10 @@ impl BatchStepper {
             }
         }
         if seqs.is_empty() {
-            self.seq_pool.push(seqs);
-            return; // other slots hold the cache; retry next step
+            // Other slots hold the cache; retry next step. Nothing was
+            // allocated, so only the buffer goes back.
+            let _ = free_seqs(&mut self.kv, &mut self.seq_pool, seqs);
+            return;
         }
 
         // Batch 1 either way: a batch shares one prompt (the paper's setup),
@@ -680,10 +770,7 @@ impl BatchStepper {
             // prefix pins that preempted and waiting groups keep can leave a
             // lone sequence no room to grow (ROADMAP.md item 3's reproducer,
             // 42 of its 44 failing steps). Fail rather than spin.
-            return Err(EngineError::OutOfMemory {
-                needed: 0,
-                available: self.kv.free_tokens() * self.kv.bytes_per_token(),
-            });
+            return Err(oom_error(&self.kv, 0));
         }
         let Some(cohort) = self.cohorts.last_mut() else {
             return Err(EngineError::InvalidRequest(
@@ -704,10 +791,8 @@ impl BatchStepper {
                 s.preemptions += 1;
             }
         }
-        if self.cohorts.last().is_some_and(|c| c.seqs.is_empty()) {
-            if let Some(c) = self.cohorts.pop() {
-                self.seq_pool.push(c.seqs);
-            }
+        if let Some(c) = self.cohorts.pop_if(|c| c.seqs.is_empty()) {
+            free_seqs(&mut self.kv, &mut self.seq_pool, c.seqs)?;
         }
         Ok(())
     }
@@ -733,70 +818,76 @@ impl BatchStepper {
             // Nothing live and nothing placeable: a waiting group exceeds
             // capacity, or pinned prefix blocks fill the cache (ROADMAP.md
             // item 3's reproducer, 2 of its 44 failing steps).
-            return Err(EngineError::OutOfMemory {
-                needed: 0,
-                available: self.kv.free_tokens() * self.kv.bytes_per_token(),
-            });
+            return Err(oom_error(&self.kv, 0));
         }
-
         // Shared chunk: every cohort advances by the same token count so
         // the iteration stays a single perturbed phase.
-        let mut chunk = usize::MAX;
-        for c in &self.cohorts {
-            chunk = chunk.min(
-                engine
-                    .config()
-                    .decode_chunk
-                    .min(c.max_new_tokens - c.produced),
-            );
-        }
+        let chunk = self
+            .cohorts
+            .iter()
+            .map(|c| c.max_new_tokens - c.produced)
+            .fold(engine.config().decode_chunk, usize::min);
+        self.grow_or_preempt(engine, chunk)?;
+        self.decode(engine, chunk);
+        let retired = self.retire(engine)?;
+        Ok(StepOutcome {
+            end_s: self.clock,
+            retired,
+        })
+    }
 
-        // Grow every live sequence; under PreemptRecompute, evict youngest
-        // tail victims until growth succeeds (vLLM recompute preemption).
+    /// Grows every live sequence by `chunk` tokens. Cold prefix-tree paths
+    /// go first; then, under PreemptRecompute, the youngest live sequence
+    /// is evicted until growth succeeds (vLLM recompute preemption). Under
+    /// FailFast admission reserved the full growth, so it cannot fail.
+    fn grow_or_preempt(
+        &mut self,
+        engine: &mut InferenceEngine,
+        chunk: usize,
+    ) -> Result<(), EngineError> {
         let policy = engine.config().oom_policy;
         let mut ci = 0;
-        while ci < self.cohorts.len() {
+        while let Some(c) = self.cohorts.get(ci) {
             // Private growth target: decode extends the sequence's own
             // allocation; the shared prefix is the tree's, held elsewhere.
-            let target = self.cohorts[ci].prompt_tokens + self.cohorts[ci].produced + chunk
-                - self.cohorts[ci].shared_tokens;
+            let target = c.prompt_tokens + c.produced + chunk - c.shared_tokens;
             let mut si = 0;
-            while si < self.cohorts.get(ci).map_or(0, |c| c.seqs.len()) {
-                let seq = self.cohorts[ci].seqs[si];
-                if self.kv.grow(seq, target)? {
+            // An eviction may shrink this cohort or drop it altogether.
+            while let Some(&seq) = self.cohorts.get(ci).and_then(|c| c.seqs.get(si)) {
+                if self.grow_reclaiming(seq, target)? {
                     si += 1;
-                    continue;
-                }
-                // Reclaim cold prefix-tree paths before touching live work.
-                let mut grown = false;
-                while let Some(cache) = self.prefix.as_mut() {
-                    if cache.evict(&mut self.kv, 1) == 0 {
-                        break;
-                    }
-                    if self.kv.grow(seq, target)? {
-                        grown = true;
-                        break;
-                    }
-                }
-                if grown {
-                    si += 1;
-                    continue;
-                }
-                match policy {
-                    OomPolicy::FailFast => {
-                        // Unreachable: admission reserved the full growth.
-                        let req = GenerationRequest::new(
-                            self.cohorts[ci].prompt_tokens,
-                            self.cohorts[ci].max_new_tokens,
-                        );
-                        return Err(oom_error(&self.kv, &req));
-                    }
-                    OomPolicy::PreemptRecompute => self.evict_youngest(engine)?,
+                } else if policy == OomPolicy::FailFast {
+                    let c = &self.cohorts[ci];
+                    return Err(oom_error(&self.kv, c.prompt_tokens + c.max_new_tokens));
+                } else {
+                    self.evict_youngest(engine)?;
                 }
             }
             ci += 1;
         }
+        Ok(())
+    }
 
+    /// Grows `seq` to `target` tokens, evicting cold prefix-tree paths one
+    /// block at a time while it does not fit. Returns whether it grew.
+    fn grow_reclaiming(&mut self, seq: SeqId, target: usize) -> Result<bool, KvError> {
+        if self.kv.grow(seq, target)? {
+            return Ok(true);
+        }
+        while let Some(cache) = self.prefix.as_mut() {
+            if cache.evict(&mut self.kv, 1) == 0 {
+                break;
+            }
+            if self.kv.grow(seq, target)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Runs one decode iteration of `chunk` tokens over every live cohort
+    /// and attributes its latency, energy, stalls and waits to the slots.
+    fn decode(&mut self, engine: &mut InferenceEngine, chunk: usize) {
         // One mixed-context decode iteration: shared base aggregate at the
         // union batch, per-cohort attention aggregates, one perturbation.
         let n_total: usize = self.cohorts.iter().map(|c| c.seqs.len()).sum();
@@ -901,84 +992,33 @@ impl BatchStepper {
         for c in &mut self.cohorts {
             c.produced += chunk;
         }
+    }
 
-        // Retire finished cohorts, then finalize fully-done slots. Both
-        // walks compact their list in place (single stable pass, no
-        // per-removal `Vec::remove` shifting); the relative order of
-        // survivors — and therefore every later phase-key sequence and RNG
-        // draw — is unchanged.
-        let mut finished_any = false;
-        let mut keep = 0;
-        for ci in 0..self.cohorts.len() {
-            if self.cohorts[ci].produced >= self.cohorts[ci].max_new_tokens {
-                let mut seqs = std::mem::take(&mut self.cohorts[ci].seqs);
-                for &seq in &seqs {
-                    self.kv.release(seq)?;
-                }
-                if let Some(s) = self.slots[self.cohorts[ci].slot].as_mut() {
-                    s.done_seqs += seqs.len();
-                }
-                seqs.clear();
-                self.seq_pool.push(seqs);
-                finished_any = true;
-            } else {
-                self.cohorts.swap(keep, ci);
-                keep += 1;
-            }
-        }
-        self.cohorts.truncate(keep);
+    /// Retires the cohorts that produced their last token, then finishes
+    /// every slot with no sequence left, in admission order: the run tail
+    /// draws run-level jitter per retired slot, so this order is part of
+    /// the bit-exactness contract.
+    fn retire(&mut self, engine: &mut InferenceEngine) -> Result<Vec<FinishedSlot>, EngineError> {
         let mut retired = Vec::new();
-        if finished_any {
-            // Walk live slots in admission order (pre-slab: ascending slot
-            // index): finalize_parts draws run-level jitter RNG per retired
-            // slot, so this order is part of the bit-exactness contract.
-            let mut keep = 0;
-            for oi in 0..self.order.len() {
-                let i = self.order[oi];
-                let done = self.slots[i]
-                    .as_ref()
-                    .is_some_and(|s| s.done_seqs == s.batch);
-                if !done {
-                    self.order[keep] = i;
-                    keep += 1;
-                    continue;
-                }
-                if let Some(s) = self.slots[i].take() {
-                    self.unpin_prefix(s.prefix_path, s.batch);
-                    let (outcome, jitter) = engine.finalize_parts(
-                        self.model,
-                        self.prec,
-                        s.batch,
-                        s.prompt_tokens,
-                        s.max_new_tokens,
-                        s.prefill,
-                        s.decode,
-                        s.trace.into_vec(),
-                        s.preemptions,
-                        s.recomputed_tokens,
-                        s.throttled_s,
-                    );
-                    retired.push(FinishedSlot {
-                        id: s.id,
-                        outcome,
-                        extra_wait_s: s.wait_s * jitter,
-                    });
-                }
-                self.free.push(i);
-            }
-            self.order.truncate(keep);
-            if !self.is_busy() {
-                // Fully drained: drop retired slot shells so slab capacity
-                // never outlives a burst across a long serving run.
-                self.slots.clear();
-                self.free.clear();
-                self.waiting.clear();
+        if !self.drop_cohorts(|c| c.produced >= c.max_new_tokens)? {
+            return Ok(retired);
+        }
+        let mut keep = 0;
+        for oi in 0..self.order.len() {
+            let i = self.order[oi];
+            if self.slots[i]
+                .as_ref()
+                .is_none_or(|s| s.done_seqs != s.batch)
+            {
+                self.order[keep] = i;
+                keep += 1;
+            } else if let Some(s) = self.take_slot(i) {
+                retired.push(s.finish(engine, self.model, self.prec));
             }
         }
-        Ok(StepOutcome {
-            end_s: self.clock,
-            retired,
-        })
+        self.order.truncate(keep);
+        self.reset_if_idle();
+        Ok(retired)
     }
 
     /// Cancels one unretired request (a hedged-request loser whose twin
@@ -992,41 +1032,14 @@ impl BatchStepper {
             .slots
             .iter()
             .position(|s| s.as_ref().is_some_and(|s| s.id == id))?;
-        // Single stable compaction pass over each list (collect once, drain
-        // once) instead of a `remove`/`retain` shift per matching entry —
-        // with many simultaneous cancellations the total cost stays linear
-        // in the list lengths rather than quadratic.
-        let mut keep = 0;
-        for ci in 0..self.cohorts.len() {
-            if self.cohorts[ci].slot == idx {
-                let mut seqs = std::mem::take(&mut self.cohorts[ci].seqs);
-                for &seq in &seqs {
-                    let _ = self.kv.release(seq);
-                }
-                seqs.clear();
-                self.seq_pool.push(seqs);
-            } else {
-                self.cohorts.swap(keep, ci);
-                keep += 1;
-            }
-        }
-        self.cohorts.truncate(keep);
-        if self.waiting.iter().any(|w| w.slot == idx) {
-            self.waiting.retain(|w| w.slot != idx);
-        }
-        let s = self.slots[idx].take()?;
-        self.unpin_prefix(s.prefix_path, s.batch);
-        if let Some(pos) = self.order.iter().position(|&i| i == idx) {
-            self.order.remove(pos);
-        }
-        self.free.push(idx);
-        if !self.is_busy() {
-            // Same shell cleanup as a retiring drain: indices stay bounded.
-            self.slots.clear();
-            self.free.clear();
-            self.waiting.clear();
-        }
-        Some(s.prefill.energy_j + s.decode.energy_j)
+        // One stable pass over each list: many simultaneous cancellations
+        // cost linear, not quadratic, time in the list lengths.
+        let _ = self.drop_cohorts(|c| c.slot == idx);
+        self.waiting.retain(|w| w.slot != idx);
+        let s = self.take_slot(idx)?;
+        self.order.retain(|&i| i != idx);
+        self.reset_if_idle();
+        Some(s.spent_j())
     }
 
     /// Abandons every unretired request (a replica outage, or scheduler
@@ -1035,46 +1048,56 @@ impl BatchStepper {
     /// had already accrued, joules: as with [`cancel`](Self::cancel), the
     /// voided work drew real power and the caller books it.
     pub fn fail_all(&mut self) -> (Vec<SlotId>, f64) {
-        for mut c in self.cohorts.drain(..) {
-            for &seq in &c.seqs {
-                let _ = self.kv.release(seq);
-            }
-            c.seqs.clear();
-            self.seq_pool.push(c.seqs);
-        }
-        self.waiting.clear();
+        let _ = self.drop_cohorts(|_| true);
         // Admission order, as the pre-slab ascending-index walk produced.
         let mut failed = Vec::with_capacity(self.order.len());
         let mut spent_j = 0.0;
         for s in self.order.iter().filter_map(|&i| self.slots[i].as_ref()) {
             failed.push(s.id);
-            spent_j += s.prefill.energy_j + s.decode.energy_j;
+            spent_j += s.spent_j();
         }
-        // Failed slots drop their prefix pins too; the tree itself stays
-        // warm for whatever the scheduler admits next.
+        // Failed slots drop their prefix pins too, in slab-index order:
+        // each release stamps the tree's LRU order, which picks the next
+        // eviction. The tree itself stays warm for whatever the scheduler
+        // admits next.
         for i in 0..self.slots.len() {
-            if let Some(s) = self.slots[i].take() {
-                self.unpin_prefix(s.prefix_path, s.batch);
-            }
+            self.take_slot(i);
         }
-        self.slots.clear();
         self.order.clear();
-        self.free.clear();
+        self.reset_if_idle();
         (failed, spent_j)
     }
 }
 
-/// The out-of-memory error for a request against the current cache state.
-fn oom_error(kv: &KvCacheManager, req: &GenerationRequest) -> EngineError {
+/// Returns `seqs` to the KV pool and their emptied buffer to `seq_pool`: the
+/// one teardown of a cohort's sequences, whether the cohort retired, was
+/// cancelled or failed, emptied under eviction, or never placed a
+/// sequence. Every sequence is released; the first failure is returned.
+fn free_seqs(
+    kv: &mut KvCacheManager,
+    seq_pool: &mut Vec<Vec<SeqId>>,
+    mut seqs: Vec<SeqId>,
+) -> Result<(), KvError> {
+    let mut freed = Ok(());
+    for &seq in &seqs {
+        freed = freed.and(kv.release(seq));
+    }
+    seqs.clear();
+    seq_pool.push(seqs);
+    freed
+}
+
+/// The out-of-memory error for `needed_tokens` of KV against the current
+/// cache state; zero when a step is stuck rather than a request too big.
+fn oom_error(kv: &KvCacheManager, needed_tokens: usize) -> EngineError {
     EngineError::OutOfMemory {
-        needed: kv.bytes_per_token()
-            * (req.batch * (req.prompt_tokens + req.max_new_tokens)) as u64,
+        needed: kv.bytes_per_token() * needed_tokens as u64,
         available: kv.free_tokens() * kv.bytes_per_token(),
     }
 }
 
 /// An idle-power gap of `latency_s` seconds (host work, kernel stalls).
-fn idle_gap(latency_s: f64, idle_w: f64) -> PhaseStats {
+pub(crate) fn idle_gap(latency_s: f64, idle_w: f64) -> PhaseStats {
     PhaseStats {
         latency_s,
         energy_j: latency_s * idle_w,
