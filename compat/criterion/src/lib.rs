@@ -3,22 +3,18 @@
 //! The build container has no registry access, so this crate implements the
 //! subset of the criterion API the workspace benches use as a real (if
 //! simple) wall-clock harness: warmup, repeated timed samples, median/mean
-//! reporting, substring filtering via CLI args, and machine-readable output.
+//! reporting and substring filtering via CLI args.
 //!
 //! Differences from real criterion are deliberate and small:
 //! - fixed sample budget (bounded samples *and* bounded wall-clock time per
 //!   benchmark) instead of adaptive sampling;
 //! - no statistical outlier analysis — median and mean only;
-//! - results are appended as JSON lines to the file named by the
-//!   `CRITERION_LITE_JSON` environment variable (used by
-//!   `scripts/bench_snapshot.sh`), not to `target/criterion/`.
+//! - results are printed, not saved under `target/criterion/`.
 //!
 //! Swapping the workspace dependency back to registry criterion restores the
 //! full harness without editing any bench source.
 
 use std::fmt::Display;
-use std::fs::OpenOptions;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Hard ceiling on measurement time per benchmark, so dataset-scale benches
@@ -70,20 +66,12 @@ impl Bencher {
     }
 }
 
-/// One finished measurement.
-#[derive(Debug, Clone)]
-struct BenchResult {
-    name: String,
-    mean_ns: f64,
-    median_ns: f64,
-    samples: usize,
-}
-
-/// Top-level harness state: CLI filter plus collected results.
+/// Top-level harness state: CLI filter plus the benchmarks measured.
 pub struct Criterion {
     filter: Option<String>,
     sample_size: usize,
-    results: Vec<BenchResult>,
+    /// Names of the benchmarks measured so far, in run order.
+    measured: Vec<String>,
 }
 
 impl Default for Criterion {
@@ -91,7 +79,7 @@ impl Default for Criterion {
         Self {
             filter: None,
             sample_size: 20,
-            results: Vec::new(),
+            measured: Vec::new(),
         }
     }
 }
@@ -156,37 +144,12 @@ impl Criterion {
             fmt_ns(median_ns),
             fmt_ns(mean_ns)
         );
-        self.results.push(BenchResult {
-            name,
-            mean_ns,
-            median_ns,
-            samples,
-        });
+        self.measured.push(name);
     }
 
-    /// Prints the closing summary and, when `CRITERION_LITE_JSON` is set,
-    /// appends one JSON object per result to that file.
+    /// Prints the closing summary.
     pub fn final_summary(&self) {
-        println!("\n{} benchmarks measured", self.results.len());
-        let Ok(path) = std::env::var("CRITERION_LITE_JSON") else {
-            return;
-        };
-        let Ok(mut f) = OpenOptions::new().create(true).append(true).open(&path) else {
-            eprintln!("criterion-lite: cannot open {path}");
-            return;
-        };
-        for r in &self.results {
-            writeln!(
-                f,
-                "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"samples\":{}}}",
-                r.name, r.median_ns, r.mean_ns, r.samples
-            )
-            .expect("write bench JSON");
-        }
-        eprintln!(
-            "criterion-lite: appended {} results to {path}",
-            self.results.len()
-        );
+        println!("\n{} benchmarks measured", self.measured.len());
     }
 }
 
@@ -272,11 +235,13 @@ mod tests {
 
     #[test]
     fn bencher_collects_samples() {
-        let mut c = Criterion::default();
-        c.bench_function("noop", |b| b.iter(|| 1 + 1));
-        assert_eq!(c.results.len(), 1);
-        assert!(c.results[0].samples >= MIN_SAMPLES);
-        assert!(c.results[0].median_ns >= 0.0);
+        let mut b = Bencher {
+            samples_ns: Vec::new(),
+            sample_size: 20,
+        };
+        b.iter(|| 1 + 1);
+        assert!(b.samples_ns.len() >= MIN_SAMPLES);
+        assert!(b.samples_ns.iter().all(|&ns| ns >= 0.0));
     }
 
     #[test]
@@ -286,19 +251,23 @@ mod tests {
             ..Criterion::default()
         };
         c.bench_function("other", |b| b.iter(|| ()));
-        assert!(c.results.is_empty());
+        assert!(c.measured.is_empty());
         c.bench_function("matching", |b| b.iter(|| ()));
-        assert_eq!(c.results.len(), 1);
+        assert_eq!(c.measured, ["matching"]);
     }
 
     #[test]
     fn group_ids_compose() {
         let mut c = Criterion::default();
+        let mut samples = 0;
         let mut g = c.benchmark_group("grp");
         g.sample_size(4);
-        g.bench_with_input(BenchmarkId::new("f", 7), &7usize, |b, &x| b.iter(|| x * 2));
+        g.bench_with_input(BenchmarkId::new("f", 7), &7usize, |b, &x| {
+            b.iter(|| x * 2);
+            samples = b.samples_ns.len();
+        });
         g.finish();
-        assert_eq!(c.results[0].name, "grp/f/7");
-        assert!(c.results[0].samples <= 4);
+        assert_eq!(c.measured, ["grp/f/7"]);
+        assert!(samples <= 4);
     }
 }
