@@ -2,9 +2,11 @@
 //! roofline execution, full generations, and dataset-scale evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use edgereasoning_core::rig::{Rig, RigConfig};
 use edgereasoning_engine::cluster::{simulate_cluster, BreakerConfig, ClusterConfig, CrashConfig};
 use edgereasoning_engine::engine::{EngineConfig, InferenceEngine};
 use edgereasoning_engine::kv_cache::KvCacheManager;
+use edgereasoning_engine::plan_cache::PhasePlanStore;
 use edgereasoning_engine::prefix_cache::PrefixCache;
 use edgereasoning_engine::request::GenerationRequest;
 use edgereasoning_engine::serving::{
@@ -21,6 +23,7 @@ use edgereasoning_soc::thermal::{GovernanceConfig, ThermalConfig, ThermalGoverno
 use edgereasoning_workloads::prompt::PromptConfig;
 use edgereasoning_workloads::suite::Benchmark;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_kernel_lowering(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel_lowering");
@@ -134,6 +137,30 @@ fn bench_cache_effect(c: &mut Criterion) {
                         .expect("fits");
                     black_box(out);
                 }
+            })
+        });
+    }
+    // What one study cell pays to characterize its model: a fresh rig
+    // (fresh engine, empty plan cache) fits latency and power on
+    // DSR1-Qwen-1.5B FP16. `fresh_rig_store` lends each rig a store that
+    // an earlier rig filled, as `Study::run` lends every cell's rig one.
+    g.sample_size(50);
+    let characterize = |rig: &mut Rig| {
+        black_box(rig.characterize_latency(ModelId::Dsr1Qwen1_5b, Precision::Fp16));
+        black_box(rig.characterize_power(ModelId::Dsr1Qwen1_5b, Precision::Fp16));
+    };
+    let warm = Arc::new(PhasePlanStore::new());
+    let mut rig = Rig::new(RigConfig::default());
+    rig.engine_mut().lend_plan_store(Arc::clone(&warm));
+    characterize(&mut rig);
+    for (label, store) in [("fresh_rig", None), ("fresh_rig_store", Some(warm))] {
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let mut rig = Rig::new(RigConfig::default());
+                if let Some(store) = &store {
+                    rig.engine_mut().lend_plan_store(Arc::clone(store));
+                }
+                characterize(&mut rig);
             })
         });
     }

@@ -373,14 +373,14 @@ impl Rig {
         holdout: usize,
     ) -> MapeReport {
         let fitted = self.characterize_latency(model, prec);
-        let questions = Benchmark::MmluRedux.generate(self.config.seed ^ 0x7e57);
+        let questions = Benchmark::MmluRedux.generate_subset(self.config.seed ^ 0x7e57, holdout);
         let profile = output_profile(model, Benchmark::MmluRedux, PromptConfig::Base, prec);
         let mut rng = Rng::seed_from_u64(self.config.seed ^ 0x7057);
 
         let (mut pre_p, mut pre_a) = (Vec::new(), Vec::new());
         let (mut dec_p, mut dec_a) = (Vec::new(), Vec::new());
         let (mut tot_p, mut tot_a) = (Vec::new(), Vec::new());
-        for q in questions.iter().take(holdout) {
+        for q in &questions {
             let i = q.prompt_tokens + 24;
             let o = (profile.sample_natural(&mut rng).round() as usize).clamp(8, 4096);
             let outcome = self

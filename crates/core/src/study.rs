@@ -9,8 +9,18 @@
 //! never from thread identity or completion order — so the report vector
 //! is byte-for-byte identical whether the study runs on one thread or
 //! sixteen.
+//!
+//! The cells' rigs share one thing: a [`PhasePlanStore`] of noise-free
+//! phase costs, created by [`Study::run`] and dropped when it returns. A
+//! rig's engine consults it only when its own plan cache misses, so the
+//! paper's characterization sweeps lower and roofline each phase shape
+//! once per call instead of once per cell. Seeds, noise draws, fits and
+//! [`EngineCounters`] stay per rig, so the reports and summed counters
+//! equal those of store-less rigs.
 
-use edgereasoning_engine::plan_cache::EngineCounters;
+use std::sync::Arc;
+
+use edgereasoning_engine::plan_cache::{EngineCounters, PhasePlanStore};
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
 use edgereasoning_models::evaluate::EvalOptions;
@@ -94,11 +104,14 @@ impl Study {
     }
 
     /// Evaluates every cell, returning reports in input order plus
-    /// aggregated engine counters.
+    /// aggregated engine counters. The cells' rigs share one
+    /// [`PhasePlanStore`], which lives as long as this call.
     pub fn run(&self, cells: &[StudyCell], opts: EvalOptions) -> StudyReport {
+        let store = Arc::new(PhasePlanStore::new());
         let outcomes = par_map_deterministic(cells, self.threads, |idx, cell| {
             let seed = item_seed(self.config.seed, idx as u64);
             let mut rig = Rig::new(self.config.clone().with_seed(seed));
+            rig.engine_mut().lend_plan_store(Arc::clone(&store));
             let report = rig.cell_report(cell.model, cell.precision, cell.bench, cell.config, opts);
             (report, rig.engine_mut().counters())
         });
@@ -135,6 +148,21 @@ mod tests {
                 Precision::Fp16,
                 Benchmark::MmluRedux,
                 PromptConfig::Soft(256),
+            ),
+            // The first cell's model and precision again, and L1-Max on
+            // the 1.5B backbone: these cells read store entries that other
+            // cells wrote, whichever worker ran them.
+            StudyCell::new(
+                ModelId::Dsr1Qwen1_5b,
+                Precision::Fp16,
+                Benchmark::MmluRedux,
+                PromptConfig::Soft(128),
+            ),
+            StudyCell::new(
+                ModelId::L1Max,
+                Precision::Fp16,
+                Benchmark::MmluRedux,
+                PromptConfig::Hard(128),
             ),
         ]
     }

@@ -1,5 +1,7 @@
 //! The simulated inference engine.
 
+use std::sync::Arc;
+
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
 
@@ -14,7 +16,7 @@ use edgereasoning_soc::thermal::{GovernanceConfig, GovernanceStats, ThermalGover
 use serde::{Deserialize, Serialize};
 
 use crate::outcome::InferenceOutcome;
-use crate::plan_cache::{EngineCounters, PhaseKey, PhaseKind, PhasePlanCache};
+use crate::plan_cache::{EngineCounters, PhaseKey, PhaseKind, PhasePlanCache, PhasePlanStore};
 use crate::request::GenerationRequest;
 use crate::stepper::{idle_gap, BatchStepper};
 use crate::EngineError;
@@ -211,6 +213,7 @@ pub struct InferenceEngine {
     gpu: Gpu,
     run_rng: Rng,
     plan_cache: PhasePlanCache,
+    plan_store: Option<Arc<PhasePlanStore>>,
     scratch: KernelPlan,
     cache_enabled: bool,
     counters: EngineCounters,
@@ -232,6 +235,7 @@ impl InferenceEngine {
             gpu,
             run_rng: Rng::seed_from_u64(seed ^ 0x72756e),
             plan_cache: PhasePlanCache::new(),
+            plan_store: None,
             scratch: KernelPlan::new(),
             cache_enabled: true,
             counters: EngineCounters::default(),
@@ -376,6 +380,15 @@ impl InferenceEngine {
         self.cache_enabled
     }
 
+    /// Lends the engine a store of noise-free phase costs shared with
+    /// other engines: on a miss of its own cache the engine takes the
+    /// store's entry, and only a store miss runs the roofline. Results
+    /// and [`counters`](Self::counters) are unchanged. An engine with its
+    /// cache disabled ignores the store.
+    pub fn lend_plan_store(&mut self, store: Arc<PhasePlanStore>) {
+        self.plan_store = Some(store);
+    }
+
     /// Execution counters accumulated since creation (or the last
     /// [`reset_counters`](Self::reset_counters)): cache hits/misses/entries
     /// and per-kind phase counts.
@@ -417,8 +430,9 @@ impl InferenceEngine {
         &mut self.counters
     }
 
-    /// Returns the memoized deterministic aggregate for `key`, computing
-    /// (and caching) it via `build` + the noise-free roofline on a miss.
+    /// Returns the memoized deterministic aggregate for `key`: from the
+    /// engine's cache, else from the lent store, else computed (and cached)
+    /// via `build` + the noise-free roofline.
     pub(crate) fn deterministic_phase(
         &mut self,
         key: PhaseKey,
@@ -434,6 +448,10 @@ impl InferenceEngine {
             if let Some(stats) = self.plan_cache.get(&key) {
                 return stats;
             }
+            if let Some(stats) = self.plan_store.as_ref().and_then(|store| store.get(&key)) {
+                self.plan_cache.insert(key, stats);
+                return stats;
+            }
         }
         self.scratch.clear();
         build(&mut self.scratch);
@@ -442,6 +460,9 @@ impl InferenceEngine {
             .run_phase_deterministic(self.scratch.kernels().iter(), calib);
         if self.cache_enabled {
             self.plan_cache.insert(key, stats);
+            if let Some(store) = &self.plan_store {
+                store.insert(key, stats);
+            }
         }
         stats
     }
@@ -845,6 +866,76 @@ mod tests {
         let _ = e.probe_tbt(ModelId::L1Max, Precision::Fp16, 1, 512);
         assert_eq!(e.counters().cache_misses, miss_after_first);
         assert_eq!(e.counters().cache_hits, 2);
+    }
+
+    #[test]
+    fn a_lent_store_serves_keys_the_engine_cache_lacks() {
+        let arch = ModelId::Dsr1Qwen1_5b.arch();
+        let key = PhaseKey {
+            arch_fp: arch.fingerprint(),
+            gpu_fp: engine().gpu_fingerprint(),
+            precision: Precision::Fp16,
+            kind: PhaseKind::Prefill,
+            batch: 1,
+            shape: 512,
+        };
+        let build =
+            |plan: &mut KernelPlan| build_prefill_into(plan, &arch, Precision::Fp16, 1, 512);
+        // Deliberately wrong: no roofline yields this aggregate, so only
+        // the store can have supplied it.
+        let planted = PhaseStats {
+            latency_s: 1234.5,
+            energy_j: -1.0,
+            ..PhaseStats::default()
+        };
+        let store = Arc::new(PhasePlanStore::new());
+        store.insert(key, planted);
+
+        let mut lent = engine();
+        lent.lend_plan_store(Arc::clone(&store));
+        let got = lent.deterministic_phase(key, &arch.calib.prefill, |_| {
+            panic!("a store hit must not lower kernels")
+        });
+        assert_eq!(got, planted);
+        // The engine's own cache counted the miss and keeps the entry.
+        let c = lent.counters();
+        assert_eq!((c.cache_hits, c.cache_misses, c.cache_entries), (0, 1, 1));
+        let again = lent.deterministic_phase(key, &arch.calib.prefill, |_| {
+            panic!("a cache hit must not lower kernels")
+        });
+        assert_eq!((again, lent.counters().cache_hits), (planted, 1));
+
+        // With its cache disabled, an engine ignores the store.
+        let mut uncached = engine();
+        uncached.set_cache_enabled(false);
+        uncached.lend_plan_store(Arc::clone(&store));
+        let computed = uncached.deterministic_phase(key, &arch.calib.prefill, build);
+        assert_ne!(computed, planted);
+        assert_eq!(
+            computed,
+            engine().deterministic_phase(key, &arch.calib.prefill, build)
+        );
+        assert_eq!(store.len(), 1, "an uncached engine never writes the store");
+    }
+
+    #[test]
+    fn engines_sharing_a_store_match_engines_without_one() {
+        let store = Arc::new(PhasePlanStore::new());
+        let req = GenerationRequest::new(512, 300).with_batch(2);
+        for seed in [3, 4] {
+            let mut shared = InferenceEngine::new(EngineConfig::vllm(), seed);
+            shared.lend_plan_store(Arc::clone(&store));
+            let mut alone = InferenceEngine::new(EngineConfig::vllm(), seed);
+            // L1-Max shares the 1.5B backbone: the second engine finds
+            // every key of both models in the store.
+            for model in [ModelId::Dsr1Qwen1_5b, ModelId::L1Max] {
+                let a = shared.run(model, Precision::Fp16, &req).expect("fits");
+                let b = alone.run(model, Precision::Fp16, &req).expect("fits");
+                assert_eq!(a, b, "seed {seed}, {model}");
+            }
+            assert_eq!(shared.counters(), alone.counters(), "seed {seed}");
+            assert_eq!(store.len(), alone.counters().cache_entries);
+        }
     }
 
     #[test]

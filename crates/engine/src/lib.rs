@@ -94,7 +94,7 @@ pub use cluster::{simulate_cluster, ClusterConfig, ClusterReport, CrashConfig, R
 pub use engine::{EngineConfig, EngineKind, InferenceEngine, OomPolicy};
 pub use kv_cache::{KvCacheManager, KvError, SeqId};
 pub use outcome::{InferenceOutcome, TbtSample};
-pub use plan_cache::{EngineCounters, PhaseKey, PhaseKind, PhasePlanCache};
+pub use plan_cache::{EngineCounters, PhaseKey, PhaseKind, PhasePlanCache, PhasePlanStore};
 pub use prefix_cache::{PrefixCache, PrefixCacheStats};
 pub use request::GenerationRequest;
 pub use serving::{

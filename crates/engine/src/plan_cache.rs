@@ -23,9 +23,15 @@
 //! and repeat across questions, models sharing a backbone share an
 //! architecture fingerprint, and sweeps revisit the same grid points.
 //!
+//! Many short-lived engines that cost the same phases — one per cell of a
+//! study — can also share one [`PhasePlanStore`]: an engine consults it
+//! only when its own cache misses, so only a store miss lowers kernels and
+//! runs the roofline.
+//!
 //! [`InferenceOutcome`]: crate::outcome::InferenceOutcome
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 use edgereasoning_kernels::dtype::Precision;
 use edgereasoning_soc::gpu::PhaseStats;
@@ -180,6 +186,72 @@ impl PhasePlanCache {
     }
 }
 
+/// Noise-free phase aggregates shared by many engines, keyed by
+/// [`PhaseKey`].
+///
+/// An engine lent a store
+/// ([`InferenceEngine::lend_plan_store`](crate::engine::InferenceEngine::lend_plan_store))
+/// consults it only when its own [`PhasePlanCache`] misses: a store hit is
+/// copied into the engine's cache, and a store miss runs the roofline and
+/// fills both. The engine's cache still counts that lookup as a miss and
+/// keeps the entry, so [`EngineCounters`] read the same with or without a
+/// store. Equal keys give identical aggregates, so which engine filled an
+/// entry, and in what order, never shows in an outcome.
+///
+/// Only engines fill a store, so it holds nothing the roofline did not
+/// compute. It is `Sync`: the engines of a parallel study share one.
+#[derive(Default)]
+pub struct PhasePlanStore {
+    entries: Mutex<HashMap<PhaseKey, PhaseStats, FxBuildHasher>>,
+}
+
+impl PhasePlanStore {
+    /// Creates an empty store.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    // A poisoned lock means an engine sharing the store panicked while
+    // holding it; the study fails with that engine.
+    #[allow(clippy::expect_used)]
+    fn lock(&self) -> MutexGuard<'_, HashMap<PhaseKey, PhaseStats, FxBuildHasher>> {
+        self.entries
+            .lock()
+            .expect("phase plan store poisoned by a panicking engine")
+    }
+
+    /// Looks up a deterministic phase cost.
+    pub(crate) fn get(&self, key: &PhaseKey) -> Option<PhaseStats> {
+        self.lock().get(key).copied()
+    }
+
+    /// Stores a deterministic phase cost.
+    pub(crate) fn insert(&self, key: PhaseKey, stats: PhaseStats) {
+        self.lock().insert(key, stats);
+    }
+
+    /// Number of stored entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Whether the store holds no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl std::fmt::Debug for PhasePlanStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PhasePlanStore")
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
 /// Execution counters kept by the engine: cache effectiveness plus how many
 /// phases of each kind were costed. Plain data — read with
 /// [`InferenceEngine::counters`](crate::engine::InferenceEngine::counters),
@@ -188,7 +260,8 @@ impl PhasePlanCache {
 pub struct EngineCounters {
     /// Phase-plan cache lookups that hit.
     pub cache_hits: u64,
-    /// Phase-plan cache lookups that missed (and ran the roofline).
+    /// Phase-plan cache lookups that missed (and ran the roofline, unless
+    /// the lent [`PhasePlanStore`] held the key).
     pub cache_misses: u64,
     /// Entries currently resident in the cache.
     pub cache_entries: usize,

@@ -82,4 +82,9 @@ for workload in characterize fleet_storm agent_sessions; do
     done
 done
 
+# edgebench's own suite, among it the check that a traced characterize pass
+# (its own store-less rigs) reproduces the untraced fingerprint.
+echo "==> edgebench tests"
+cargo test --release -q --offline --manifest-path edgebench/Cargo.toml
+
 echo "CI OK"

@@ -5,11 +5,12 @@ use edgereasoning::core::fit::{
 };
 use edgereasoning::core::latency::{DecodeLatencyModel, PrefillLatencyModel, TotalLatencyModel};
 use edgereasoning::core::planner::{pareto_frontier, ConfigPoint, Planner};
-use edgereasoning::core::rig::RigConfig;
+use edgereasoning::core::rig::{Rig, RigConfig};
 use edgereasoning::core::study::{Study, StudyCell};
 use edgereasoning::engine::cluster::{simulate_cluster, ClusterConfig, CrashConfig};
 use edgereasoning::engine::engine::{EngineConfig, OomPolicy};
 use edgereasoning::engine::kv_cache::KvCacheManager;
+use edgereasoning::engine::plan_cache::EngineCounters;
 use edgereasoning::engine::request::GenerationRequest;
 use edgereasoning::engine::serving::{
     simulate_serving, simulate_serving_continuous, ServingConfig,
@@ -1010,6 +1011,20 @@ fn parallel_study_bit_identical_to_sequential() {
             Benchmark::MmluRedux,
             PromptConfig::Hard(128),
         ),
+        // Cells that share the first cell's phase costs: the same model and
+        // precision, and L1-Max on the same backbone.
+        StudyCell::new(
+            ModelId::Dsr1Qwen1_5b,
+            Precision::Fp16,
+            Benchmark::MmluRedux,
+            PromptConfig::NoReason,
+        ),
+        StudyCell::new(
+            ModelId::L1Max,
+            Precision::Fp16,
+            Benchmark::MmluRedux,
+            PromptConfig::Hard(512),
+        ),
     ];
     let opts = EvalOptions::default().with_subset(60);
     let study = Study::new(RigConfig::default());
@@ -1021,6 +1036,59 @@ fn parallel_study_bit_identical_to_sequential() {
             "differ at {threads} threads"
         );
         assert_eq!(sequential.counters, parallel.counters);
+    }
+}
+
+/// A study's rigs share only their phase-plan store: `Study::run` returns
+/// the reports and summed counters of store-less fresh rigs seeded the way
+/// `Study` seeds them, at one and three threads. The grid spans both
+/// precisions, three models on the Qwen2.5-1.5B backbone and two distinct
+/// models, with every (model, precision) in two cells, so most cells read
+/// entries other cells stored.
+#[test]
+fn study_with_a_shared_plan_store_matches_storeless_rigs() {
+    let models = [
+        ModelId::Dsr1Qwen1_5b,
+        ModelId::L1Max,
+        ModelId::DeepScaleR1_5b,
+        ModelId::Dsr1Llama8b,
+        ModelId::Dsr1Qwen14b,
+    ];
+    let mut cells = Vec::new();
+    for model in models {
+        for prec in [Precision::Fp16, Precision::W4A16] {
+            for config in [PromptConfig::Base, PromptConfig::Hard(128)] {
+                cells.push(StudyCell::new(model, prec, Benchmark::MmluRedux, config));
+            }
+        }
+    }
+    assert_eq!(cells.len(), 20);
+    let opts = EvalOptions::default().with_subset(20);
+    let config = RigConfig::default();
+    let mut counters = EngineCounters::default();
+    let reports: Vec<_> = cells
+        .iter()
+        .enumerate()
+        .map(|(idx, c)| {
+            let seed = item_seed(config.seed, idx as u64);
+            let mut rig = Rig::new(config.clone().with_seed(seed));
+            let report = rig.cell_report(c.model, c.precision, c.bench, c.config, opts);
+            counters.absorb(&rig.engine_mut().counters());
+            report
+        })
+        .collect();
+    for threads in [1usize, 3] {
+        let study = Study::new(config.clone())
+            .with_threads(threads)
+            .run(&cells, opts);
+        assert_eq!(
+            study.reports, reports,
+            "reports differ at {threads} threads"
+        );
+        assert_eq!(
+            study.counters, counters,
+            "counters differ at {threads} threads"
+        );
     }
 }
 
