@@ -14,10 +14,12 @@ use edgereasoning_engine::serving::{
 };
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
-use edgereasoning_kernels::phases::{decode_step_kernels, prefill_kernels};
+use edgereasoning_kernels::phases::{
+    build_decode_base_into, build_prefill_into, decode_step_kernels, prefill_kernels, KernelPlan,
+};
 use edgereasoning_models::evaluate::{evaluate, EvalOptions};
 use edgereasoning_soc::faults::{DomainConfig, DomainKind};
-use edgereasoning_soc::gpu::{ExecCalib, Gpu};
+use edgereasoning_soc::gpu::{Derate, ExecCalib, Gpu};
 use edgereasoning_soc::spec::{OrinSpec, PowerMode};
 use edgereasoning_soc::thermal::{GovernanceConfig, ThermalConfig, ThermalGovernor};
 use edgereasoning_workloads::prompt::PromptConfig;
@@ -47,6 +49,32 @@ fn bench_roofline_execution(c: &mut Criterion) {
         let mut gpu = Gpu::new(OrinSpec::agx_orin_64gb().gpu, PowerMode::MaxN, 1);
         b.iter(|| gpu.run_phase(black_box(&kernels).iter(), &ExecCalib::default()))
     });
+
+    // A plan-cache miss's roofline, generic against layered, on a GPU under
+    // a derate (each derate window mints a new fingerprint, so serving
+    // fleets miss under one).
+    let mut gpu = Gpu::new(OrinSpec::agx_orin_64gb().gpu, PowerMode::MaxN, 1);
+    gpu.set_derate(Derate {
+        freq: 0.8,
+        ..Derate::IDENTITY
+    });
+    let small = ModelId::Dsr1Qwen1_5b.arch();
+    let large = ModelId::Dsr1Qwen14b.arch();
+    let mut decode_base = KernelPlan::new();
+    build_decode_base_into(&mut decode_base, &small, Precision::Fp16, 26);
+    let mut prefill = KernelPlan::new();
+    build_prefill_into(&mut prefill, &large, Precision::Fp16, 1, 4096);
+    for (label, plan, calib) in [
+        ("decode_base_1p5b_b26", &decode_base, &small.calib.decode),
+        ("prefill_14b_4k", &prefill, &large.calib.prefill),
+    ] {
+        g.bench_function(&format!("{label}_generic"), |b| {
+            b.iter(|| gpu.run_phase_deterministic(black_box(plan.kernels()), calib))
+        });
+        g.bench_function(&format!("{label}_layered"), |b| {
+            b.iter(|| gpu.run_phase_layered(black_box(plan.kernels()), plan.layer_run(), calib))
+        });
+    }
     g.finish();
 }
 

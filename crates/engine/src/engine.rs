@@ -432,7 +432,8 @@ impl InferenceEngine {
 
     /// Returns the memoized deterministic aggregate for `key`: from the
     /// engine's cache, else from the lent store, else computed (and cached)
-    /// via `build` + the noise-free roofline.
+    /// via `build` + the noise-free roofline, which costs the layer the
+    /// builder replicated once ([`Gpu::run_phase_layered`]).
     pub(crate) fn deterministic_phase(
         &mut self,
         key: PhaseKey,
@@ -455,9 +456,9 @@ impl InferenceEngine {
         }
         self.scratch.clear();
         build(&mut self.scratch);
-        let stats = self
-            .gpu
-            .run_phase_deterministic(self.scratch.kernels().iter(), calib);
+        let stats =
+            self.gpu
+                .run_phase_layered(self.scratch.kernels(), self.scratch.layer_run(), calib);
         if self.cache_enabled {
             self.plan_cache.insert(key, stats);
             if let Some(store) = &self.plan_store {

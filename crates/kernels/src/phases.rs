@@ -14,6 +14,13 @@
 //! ([`build_decode_base_into`]) and the per-layer attention GEMVs — the only
 //! kernels whose cost depends on `ctx` — ([`build_decode_attn_into`]), which
 //! lets the engine cache the two parts under separate keys.
+//!
+//! Every builder lowers one transformer layer and copies it once per
+//! layer, and the plan records that run ([`KernelPlan::layer_run`]), so the
+//! roofline can cost one copy and reuse it for the rest
+//! (`edgereasoning_soc::gpu::Gpu::run_phase_layered`).
+
+use std::ops::Range;
 
 use edgereasoning_soc::kernel::{ComputeKind, KernelClass, KernelDesc};
 
@@ -31,6 +38,9 @@ const ACT: f64 = 2.0;
 #[derive(Debug, Clone, Default)]
 pub struct KernelPlan {
     kernels: Vec<KernelDesc>,
+    /// The last builder's replicated layer: the first copy's range and
+    /// the number of copies (see [`KernelPlan::layer_run`]).
+    layer_run: Option<(Range<usize>, usize)>,
 }
 
 impl KernelPlan {
@@ -40,15 +50,29 @@ impl KernelPlan {
         Self::default()
     }
 
-    /// Drops all kernels but keeps the backing allocation.
+    /// Drops all kernels and the layer record but keeps the backing
+    /// allocation.
     pub fn clear(&mut self) {
         self.kernels.clear();
+        self.layer_run = None;
     }
 
     /// The lowered kernel sequence.
     #[must_use]
     pub fn kernels(&self) -> &[KernelDesc] {
         &self.kernels
+    }
+
+    /// The run of identical layers the last builder emitted: the kernel
+    /// range of its first copy and the number of copies, which follow each
+    /// other from the range's start. Kernels outside the run, including
+    /// those an earlier builder appended to the same plan, are ordinary
+    /// kernels. `None` for an empty plan and for a zero-layer
+    /// architecture.
+    #[inline]
+    #[must_use]
+    pub fn layer_run(&self) -> Option<(Range<usize>, usize)> {
+        self.layer_run.clone()
     }
 
     /// Number of kernels in the plan.
@@ -67,6 +91,23 @@ impl KernelPlan {
     #[must_use]
     pub fn into_vec(self) -> Vec<KernelDesc> {
         self.kernels
+    }
+
+    /// Replicates the layer built from `first_start` to the end of the
+    /// plan into `layers` copies and records the run (nothing is left,
+    /// and no run recorded, when `layers` is 0). The layer's kernels do
+    /// not depend on the layer index, so the copies are memcpys.
+    fn replicate_layer(&mut self, first_start: usize, layers: usize) {
+        let first = first_start..self.kernels.len();
+        if layers == 0 {
+            self.kernels.truncate(first_start);
+            self.layer_run = None;
+            return;
+        }
+        for _ in 1..layers {
+            self.kernels.extend_from_within(first.clone());
+        }
+        self.layer_run = Some((first, layers));
     }
 }
 
@@ -170,9 +211,8 @@ pub fn build_prefill_into(
         m as f64 * d as f64 * ACT,
     ));
 
-    // One layer's kernels; the loop body is layer-index-independent, so the
-    // first cycle is built and the rest replicated with a memcpy.
-    let cycle_start = out.len();
+    // One layer's kernels, built once and replicated.
+    let layer_start = out.len();
     {
         out.push(rms_norm(m, d));
         // Fused QKV projection.
@@ -228,16 +268,11 @@ pub fn build_prefill_into(
         ));
         push_linear(out, KernelClass::Gemm, prec, m, d, arch.d_ff);
     }
-    let cycle = cycle_start..out.len();
-    if arch.layers == 0 {
-        out.truncate(cycle_start);
-    }
-    for _ in 1..arch.layers {
-        out.extend_from_within(cycle.clone());
-    }
+    plan.replicate_layer(layer_start, arch.layers);
 
     // Final norm + LM head on the last token of each sequence only (vLLM
     // computes logits lazily), then sampling.
+    let out = &mut plan.kernels;
     out.push(rms_norm(batch, d));
     out.push(linear(KernelClass::Gemv, prec, batch, arch.vocab, d, ACT));
     out.push(KernelDesc::raw(
@@ -299,9 +334,8 @@ pub fn build_decode_base_into(
         m as f64 * d as f64 * ACT,
     ));
 
-    // One layer's kernels; the loop body is layer-index-independent, so the
-    // first cycle is built and the rest replicated with a memcpy.
-    let cycle_start = out.len();
+    // One layer's kernels, built once and replicated.
+    let layer_start = out.len();
     out.push(rms_norm(m, d));
     push_linear(out, KernelClass::Gemv, prec, m, da + 2 * dkv, d);
     // RoPE on the new token.
@@ -331,14 +365,9 @@ pub fn build_decode_base_into(
         m as f64 * arch.d_ff as f64 * ACT,
     ));
     push_linear(out, KernelClass::Gemv, prec, m, d, arch.d_ff);
-    let cycle = cycle_start..out.len();
-    if arch.layers == 0 {
-        out.truncate(cycle_start);
-    }
-    for _ in 1..arch.layers {
-        out.extend_from_within(cycle.clone());
-    }
+    plan.replicate_layer(layer_start, arch.layers);
 
+    let out = &mut plan.kernels;
     out.push(rms_norm(m, d));
     // LM head stays FP16 (AWQ leaves it unquantized).
     out.push(linear(KernelClass::Gemv, prec, m, arch.vocab, d, ACT));
@@ -376,8 +405,7 @@ pub fn build_decode_attn_into(
     let out = &mut plan.kernels;
     out.reserve(arch.layers);
 
-    // Every layer lowers to the same descriptor (nothing in the loop body
-    // depends on the layer index), so build it once and replicate.
+    // Every layer lowers to the same descriptor, a one-kernel layer.
     let mut attn = KernelDesc::gemm(
         KernelClass::Gemv,
         prec.compute_kind(),
@@ -390,9 +418,9 @@ pub fn build_decode_attn_into(
         m as f64 * da as f64 * ACT,
     );
     attn.flops = 4.0 * m as f64 * ctx as f64 * da as f64;
-    for _ in 0..arch.layers {
-        out.push(attn);
-    }
+    let layer_start = out.len();
+    out.push(attn);
+    plan.replicate_layer(layer_start, arch.layers);
 }
 
 #[cfg(test)]
@@ -539,6 +567,111 @@ mod tests {
         assert_eq!(plan.kernels(), &first[..]);
         assert_eq!(plan.len(), cap_hint);
         assert_eq!(first, prefill_kernels(&arch, Precision::Fp16, 2, 256));
+    }
+
+    /// The plan's layer run: its copies are back to back, each equals the
+    /// first, and there is one per layer. Returns `(head, layer, tail)`
+    /// lengths.
+    fn checked_run(plan: &KernelPlan, arch: &ModelArch) -> (usize, usize, usize) {
+        let (first, copies) = plan.layer_run().expect("a layered plan records its run");
+        assert_eq!(copies, arch.layers, "one copy per layer");
+        assert!(!first.is_empty());
+        let run = first.start..first.start + first.len() * copies;
+        assert!(run.end <= plan.len(), "the copies lie inside the plan");
+        let layer = &plan.kernels()[first.clone()];
+        for copy in plan.kernels()[run.clone()].chunks_exact(first.len()) {
+            assert_eq!(copy, layer, "every copy equals the first");
+        }
+        (run.start, first.len(), plan.len() - run.end)
+    }
+
+    #[test]
+    fn every_builder_records_its_replicated_layer() {
+        for id in ModelId::ALL {
+            let arch = id.arch();
+            for prec in Precision::ALL {
+                // Fused projections each add one dequant kernel under W4A16.
+                let dequant = if prec.needs_dequant() { 4 } else { 0 };
+                let mut plan = KernelPlan::new();
+                build_prefill_into(&mut plan, &arch, prec, 2, 129);
+                assert_eq!(
+                    checked_run(&plan, &arch),
+                    (1, 10 + dequant, 3),
+                    "{id} {prec:?}"
+                );
+                plan.clear();
+                build_decode_base_into(&mut plan, &arch, prec, 3);
+                assert_eq!(
+                    checked_run(&plan, &arch),
+                    (1, 9 + dequant, 3),
+                    "{id} {prec:?}"
+                );
+                plan.clear();
+                build_decode_attn_into(&mut plan, &arch, prec, 3, 777);
+                assert_eq!(checked_run(&plan, &arch), (0, 1, 0), "{id} {prec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn clear_resets_the_layer_record() {
+        let arch = ModelId::Dsr1Qwen14b.arch();
+        let mut plan = KernelPlan::new();
+        assert_eq!(plan.layer_run(), None);
+        build_prefill_into(&mut plan, &arch, Precision::W4A16, 1, 64);
+        assert!(plan.layer_run().is_some());
+        plan.clear();
+        assert_eq!(plan.layer_run(), None);
+        assert!(plan.is_empty());
+    }
+
+    #[test]
+    fn a_zero_layer_arch_records_no_run() {
+        let arch = ModelArch {
+            layers: 0,
+            ..ModelId::Dsr1Llama8b.arch()
+        };
+        for prec in Precision::ALL {
+            let mut plan = KernelPlan::new();
+            build_prefill_into(&mut plan, &arch, prec, 1, 128);
+            assert_eq!(plan.len(), 4, "embedding, final norm, LM head, sampling");
+            assert_eq!(plan.layer_run(), None);
+            plan.clear();
+            build_decode_base_into(&mut plan, &arch, prec, 2);
+            assert_eq!(plan.len(), 4);
+            assert_eq!(plan.layer_run(), None);
+            // A zero-layer builder also replaces an earlier builder's run.
+            plan.clear();
+            build_decode_base_into(&mut plan, &ModelId::Dsr1Llama8b.arch(), prec, 2);
+            let base_len = plan.len();
+            build_decode_attn_into(&mut plan, &arch, prec, 2, 512);
+            assert_eq!(plan.len(), base_len);
+            assert_eq!(plan.layer_run(), None);
+        }
+    }
+
+    #[test]
+    fn the_composed_decode_plan_records_the_attention_run() {
+        for id in ModelId::ALL {
+            let arch = id.arch();
+            for prec in Precision::ALL {
+                let mut plan = KernelPlan::new();
+                build_decode_base_into(&mut plan, &arch, prec, 4);
+                let base_len = plan.len();
+                build_decode_attn_into(&mut plan, &arch, prec, 4, 300);
+                // The later builder's run replaces the base's; the base's
+                // kernels become the head.
+                assert_eq!(
+                    plan.layer_run(),
+                    Some((base_len..base_len + 1, arch.layers))
+                );
+                assert_eq!(checked_run(&plan, &arch), (base_len, 1, 0));
+                assert_eq!(
+                    plan.kernels(),
+                    &decode_step_kernels(&arch, prec, 4, 300)[..]
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   per-shape "CUTLASS variant" wobble models the secondary deviations the
 //!   paper attributes to kernel-variant selection.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::kernel::{ComputeKind, KernelClass, KernelDesc};
@@ -209,6 +211,58 @@ impl Derate {
 impl Default for Derate {
     fn default() -> Self {
         Self::IDENTITY
+    }
+}
+
+/// What a phase aggregate needs of one kernel's noise-free cost.
+#[derive(Debug, Clone, Copy, Default)]
+struct KernelCost {
+    latency_s: f64,
+    power_w: f64,
+    /// Latency times the compute-unit busy fraction (vs nominal peak).
+    busy_s: f64,
+}
+
+/// The running sums of a noise-free phase. Both roofline entries fold
+/// every kernel through it in phase order, so their floating-point adds
+/// happen in the same order and their aggregates agree bit for bit.
+#[derive(Debug, Default)]
+struct PhaseAccum {
+    meter: EnergyMeter,
+    rd_bytes: f64,
+    wr_bytes: f64,
+    busy_s: f64,
+    count: usize,
+}
+
+impl PhaseAccum {
+    #[inline]
+    fn add(&mut self, k: &KernelDesc, cost: KernelCost) {
+        self.meter.record(cost.latency_s, cost.power_w);
+        self.rd_bytes += k.bytes_read;
+        self.wr_bytes += k.bytes_written;
+        self.busy_s += cost.busy_s;
+        self.count += 1;
+    }
+
+    fn finish(self, peak_bw: f64) -> PhaseStats {
+        let t = self.meter.elapsed_s();
+        let per_peak = |bytes: f64| {
+            if t > 0.0 {
+                (bytes / t / peak_bw).min(1.0)
+            } else {
+                0.0
+            }
+        };
+        PhaseStats {
+            latency_s: t,
+            energy_j: self.meter.energy_j(),
+            avg_power_w: self.meter.avg_power_w(),
+            gpu_util: if t > 0.0 { self.busy_s / t } else { 0.0 },
+            dram_rd_util: per_peak(self.rd_bytes),
+            dram_wr_util: per_peak(self.wr_bytes),
+            kernels: self.count,
+        }
     }
 }
 
@@ -457,61 +511,98 @@ impl Gpu {
     where
         I: IntoIterator<Item = &'a KernelDesc>,
     {
-        let mut meter = EnergyMeter::new();
-        let mut rd_bytes = 0.0;
-        let mut wr_bytes = 0.0;
-        let mut util_time = 0.0; // ∫ busy-fraction dt (vs effective peak)
-        let mut count = 0usize;
-
         // Transformer phases repeat the same per-layer kernel descriptors
         // dozens of times (every layer of a decode step lowers identically),
-        // and `kernel_exec` is a pure function of the descriptor, the
+        // and `kernel_cost` is a pure function of the descriptor, the
         // calibration and the GPU operating point. A small stack-resident
-        // memo of recently executed descriptors turns the O(layers)
-        // repetition into equality checks; the accumulation loop below is
-        // untouched, so the aggregate is bit-identical to executing every
-        // kernel afresh. Sized to cover one full per-layer kernel cycle
-        // (~10 distinct descriptors) with room to spare.
+        // memo of recently costed descriptors turns the O(layers)
+        // repetition into equality checks; the fold is untouched, so the
+        // aggregate is bit-identical to costing every kernel afresh. Sized
+        // to cover one full per-layer kernel cycle (~10 distinct
+        // descriptors) with room to spare. A caller that knows where its
+        // layers repeat skips the search with [`Gpu::run_phase_layered`].
         const EXEC_MEMO: usize = 12;
-        let mut memo: [Option<(KernelDesc, KernelExec, f64)>; EXEC_MEMO] = [None; EXEC_MEMO];
+        let mut memo: [Option<(KernelDesc, KernelCost)>; EXEC_MEMO] = [None; EXEC_MEMO];
         let mut evict = 0usize;
 
+        let mut acc = PhaseAccum::default();
         for k in kernels {
-            let (exec, util_term) = match memo.iter().flatten().find(|(d, _, _)| d == k) {
-                Some((_, e, u)) => (*e, *u),
+            let cost = match memo.iter().flatten().find(|(d, _)| d == k) {
+                Some((_, cost)) => *cost,
                 None => {
-                    let e = self.kernel_exec(k, calib, 1.0);
-                    // Compute-unit busy fraction relative to nominal peak.
-                    let u = e.latency_s * (e.achieved_flops / self.peak_flops(k.compute)).min(1.0);
-                    memo[evict] = Some((*k, e, u));
+                    let cost = self.kernel_cost(k, calib);
+                    memo[evict] = Some((*k, cost));
                     evict = (evict + 1) % EXEC_MEMO;
-                    (e, u)
+                    cost
                 }
             };
-            meter.record(exec.latency_s, exec.power_w);
-            rd_bytes += k.bytes_read;
-            wr_bytes += k.bytes_written;
-            util_time += util_term;
-            count += 1;
+            acc.add(k, cost);
         }
+        acc.finish(self.peak_bw())
+    }
 
-        let t = meter.elapsed_s();
-        PhaseStats {
-            latency_s: t,
-            energy_j: meter.energy_j(),
-            avg_power_w: meter.avg_power_w(),
-            gpu_util: if t > 0.0 { util_time / t } else { 0.0 },
-            dram_rd_util: if t > 0.0 {
-                (rd_bytes / t / self.peak_bw()).min(1.0)
-            } else {
-                0.0
-            },
-            dram_wr_util: if t > 0.0 {
-                (wr_bytes / t / self.peak_bw()).min(1.0)
-            } else {
-                0.0
-            },
-            kernels: count,
+    /// [`Gpu::run_phase_deterministic`] for a sequence whose kernels
+    /// repeat one layer: `layer_run` gives the first copy's range and the
+    /// number of copies, which follow each other from the range's start
+    /// (`KernelPlan::layer_run` of the `edgereasoning-kernels` builders).
+    /// Each kernel outside the copies, and each kernel of the first copy,
+    /// is costed once; every kernel of the sequence is then folded in its
+    /// original order, through the same accumulator as the generic entry,
+    /// so the result is bit-identical to it. Allocates nothing.
+    ///
+    /// Without a run, or with a layer longer than 16 kernels (the
+    /// builders' longest, a W4A16 prefill layer, has 14), this is the
+    /// generic entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copies run past the end of `kernels`; in debug
+    /// builds, also if a copy differs from the first.
+    pub fn run_phase_layered(
+        &self,
+        kernels: &[KernelDesc],
+        layer_run: Option<(Range<usize>, usize)>,
+        calib: &ExecCalib,
+    ) -> PhaseStats {
+        const LAYER_MAX: usize = 16;
+        let Some((layer, copies)) =
+            layer_run.filter(|(layer, _)| (1..=LAYER_MAX).contains(&layer.len()))
+        else {
+            return self.run_phase_deterministic(kernels, calib);
+        };
+        let first = &kernels[layer.clone()];
+        let run = layer.start..layer.start + first.len() * copies;
+
+        let mut layer_costs = [KernelCost::default(); LAYER_MAX];
+        for (cost, k) in layer_costs.iter_mut().zip(first) {
+            *cost = self.kernel_cost(k, calib);
+        }
+        let layer_costs = &layer_costs[..first.len()];
+
+        let mut acc = PhaseAccum::default();
+        for k in &kernels[..run.start] {
+            acc.add(k, self.kernel_cost(k, calib));
+        }
+        for copy in kernels[run.clone()].chunks_exact(first.len()) {
+            debug_assert_eq!(copy, first, "a layer copy differs from the first");
+            for (k, cost) in copy.iter().zip(layer_costs) {
+                acc.add(k, *cost);
+            }
+        }
+        for k in &kernels[run.end..] {
+            acc.add(k, self.kernel_cost(k, calib));
+        }
+        acc.finish(self.peak_bw())
+    }
+
+    /// One kernel's noise-free cost, as the phase fold takes it.
+    fn kernel_cost(&self, k: &KernelDesc, calib: &ExecCalib) -> KernelCost {
+        let e = self.kernel_exec(k, calib, 1.0);
+        KernelCost {
+            latency_s: e.latency_s,
+            power_w: e.power_w,
+            // Compute-unit busy fraction relative to nominal peak.
+            busy_s: e.latency_s * (e.achieved_flops / self.peak_flops(k.compute)).min(1.0),
         }
     }
 
@@ -848,6 +939,95 @@ mod tests {
         });
         let exec = g.execute(&k);
         assert!(exec.power_w <= 20.0 + 1e-9);
+    }
+
+    /// Field-by-field bit equality of two phase aggregates.
+    fn assert_same_bits(a: &PhaseStats, b: &PhaseStats, case: &str) {
+        let bits = |p: &PhaseStats| {
+            [
+                p.latency_s.to_bits(),
+                p.energy_j.to_bits(),
+                p.avg_power_w.to_bits(),
+                p.gpu_util.to_bits(),
+                p.dram_rd_util.to_bits(),
+                p.dram_wr_util.to_bits(),
+                p.kernels as u64,
+            ]
+        };
+        assert_eq!(bits(a), bits(b), "{case}");
+    }
+
+    /// A distinct small kernel per `i`.
+    fn kernel(i: usize) -> KernelDesc {
+        KernelDesc::gemm(KernelClass::Gemv, ComputeKind::TensorFp16, 1 + i, 1024, 512)
+            .with_bytes(2 * 1024 * 512, 2048 * (i as u64 + 1))
+    }
+
+    /// `head ++ copies × layer ++ tail`, and its layer run.
+    fn layered(
+        head: &[KernelDesc],
+        layer: &[KernelDesc],
+        copies: usize,
+        tail: &[KernelDesc],
+    ) -> (Vec<KernelDesc>, Option<(Range<usize>, usize)>) {
+        let mut seq = head.to_vec();
+        for _ in 0..copies {
+            seq.extend_from_slice(layer);
+        }
+        seq.extend_from_slice(tail);
+        (seq, Some((head.len()..head.len() + layer.len(), copies)))
+    }
+
+    #[test]
+    fn layered_entry_matches_the_generic_one_on_hand_built_sequences() {
+        let k: Vec<KernelDesc> = (0..24).map(kernel).collect();
+        let norm = KernelDesc::raw(
+            KernelClass::Elementwise,
+            ComputeKind::CudaFp32,
+            8.0e6,
+            4.0e6,
+            2.0e6,
+        );
+        let cases = [
+            ("one-kernel layer", layered(&[], &k[..1], 28, &[])),
+            (
+                "internal duplicate",
+                layered(&k[..1], &[norm, k[1], k[2], norm, k[3]], 5, &[norm, k[4]]),
+            ),
+            ("single copy", layered(&k[..1], &k[1..4], 1, &k[4..5])),
+            ("empty head", layered(&[], &k[..3], 4, &k[3..5])),
+            ("empty tail", layered(&k[..2], &k[2..5], 4, &[])),
+            // Longer than the stack array: falls back to the generic entry.
+            ("20-kernel layer", layered(&k[..1], &k[1..21], 3, &k[21..])),
+            ("no run", (k.clone(), None)),
+        ];
+        let mut derated = gpu();
+        derated.set_mode(PowerMode::W15);
+        derated.set_derate(Derate {
+            freq: 0.8,
+            bw: 0.6,
+            cap_w: 12.0,
+        });
+        let calib = ExecCalib {
+            latency_scale: 1.3,
+            power_scale: 0.9,
+        };
+        for g in [gpu(), derated] {
+            for (case, (seq, run)) in &cases {
+                let generic = g.run_phase_deterministic(seq, &calib);
+                let fast = g.run_phase_layered(seq, run.clone(), &calib);
+                assert_same_bits(&fast, &generic, case);
+                assert_eq!(fast.kernels, seq.len(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "differs from the first")]
+    fn a_record_over_unequal_copies_fails_in_debug() {
+        let seq: Vec<KernelDesc> = (0..6).map(kernel).collect();
+        let _ = gpu().run_phase_layered(&seq, Some((0..2, 3)), &ExecCalib::default());
     }
 
     #[test]

@@ -12,6 +12,12 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+# edgebench is its own [workspace], so the two gates above do not see it,
+# although it compiles against the simulator's public API.
+echo "==> edgebench: cargo fmt --check and clippy -D warnings"
+cargo fmt --check --manifest-path edgebench/Cargo.toml
+cargo clippy --release --offline --manifest-path edgebench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc (rustdoc warnings, e.g. broken intra-doc links, fail CI)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 

@@ -20,13 +20,16 @@ use edgereasoning::engine::session::{
 };
 use edgereasoning::engine::stepper::BatchStepper;
 use edgereasoning::engine::SimEngine;
-use edgereasoning::kernels::arch::ModelId;
+use edgereasoning::kernels::arch::{ModelArch, ModelId};
 use edgereasoning::kernels::dtype::Precision;
-use edgereasoning::kernels::phases::{decode_step_kernels, prefill_kernels};
+use edgereasoning::kernels::phases::{
+    build_decode_attn_into, build_decode_base_into, build_prefill_into, decode_step_kernels,
+    prefill_kernels, KernelPlan,
+};
 use edgereasoning::models::evaluate::{evaluate, EvalOptions};
 use edgereasoning::models::profile::{expected_min, natural_mean_for_observed};
 use edgereasoning::soc::faults::{Disturbance, FaultKind, FaultSchedule};
-use edgereasoning::soc::gpu::{Derate, ExecCalib, Gpu};
+use edgereasoning::soc::gpu::{Derate, ExecCalib, Gpu, PhaseStats};
 use edgereasoning::soc::kernel::{ComputeKind, KernelClass, KernelDesc};
 use edgereasoning::soc::power::{ramp_avg_factor, EnergyMeter};
 use edgereasoning::soc::rng::Rng;
@@ -1090,6 +1093,102 @@ fn study_with_a_shared_plan_store_matches_storeless_rigs() {
             "counters differ at {threads} threads"
         );
     }
+}
+
+/// Every field of a phase aggregate as bits.
+fn phase_bits(p: &PhaseStats) -> [u64; 7] {
+    [
+        p.latency_s.to_bits(),
+        p.energy_j.to_bits(),
+        p.avg_power_w.to_bits(),
+        p.gpu_util.to_bits(),
+        p.dram_rd_util.to_bits(),
+        p.dram_wr_util.to_bits(),
+        p.kernels as u64,
+    ]
+}
+
+/// The engine's miss path costs a builder's replicated layer once
+/// (`Gpu::run_phase_layered` fed by `KernelPlan::layer_run`); it must
+/// equal the generic roofline bit for bit on every model, precision and
+/// phase kind, on batches and shapes around the 128-token tile edge, in
+/// every power mode and under a thermal throttle, bandwidth contention and
+/// a power-mode drop with its cap, with each calibration a phase uses.
+#[test]
+fn layered_roofline_matches_the_generic_one_bit_for_bit() {
+    type Lower = fn(&mut KernelPlan, &ModelArch, Precision, usize, usize);
+    const SHAPES: [usize; 5] = [1, 127, 128, 129, 4096];
+    let lowerings: [(&str, &[usize], Lower); 3] = [
+        ("prefill", &SHAPES, |p, a, prec, b, s| {
+            build_prefill_into(p, a, prec, b, s)
+        }),
+        ("decode base", &[0], |p, a, prec, b, _| {
+            build_decode_base_into(p, a, prec, b)
+        }),
+        ("decode ctx", &SHAPES, |p, a, prec, b, s| {
+            build_decode_attn_into(p, a, prec, b, s)
+        }),
+    ];
+    let spec = OrinSpec::agx_orin_64gb().gpu;
+    let mut gpus: Vec<Gpu> = PowerMode::ALL
+        .iter()
+        .map(|&mode| Gpu::new(spec.clone(), mode, 7))
+        .collect();
+    let drop_to = PowerMode::W15;
+    for derate in [
+        Derate {
+            freq: 0.72,
+            ..Derate::IDENTITY
+        },
+        Derate {
+            bw: 0.55,
+            ..Derate::IDENTITY
+        },
+        Derate {
+            freq: drop_to.freq_scale() / PowerMode::MaxN.freq_scale(),
+            cap_w: drop_to.power_cap_w(),
+            ..Derate::IDENTITY
+        },
+    ] {
+        let mut gpu = test_gpu();
+        gpu.set_derate(derate);
+        gpus.push(gpu);
+    }
+
+    let mut plan = KernelPlan::new();
+    let mut compared = 0usize;
+    for id in ModelId::ALL {
+        let arch = id.arch();
+        let calibs = [arch.calib.prefill, arch.calib.decode, ExecCalib::default()];
+        for prec in Precision::ALL {
+            for batch in [1, 2, 7, 26, 64] {
+                for (kind, shapes, lower) in &lowerings {
+                    for &shape in *shapes {
+                        plan.clear();
+                        lower(&mut plan, &arch, prec, batch, shape);
+                        assert!(plan.layer_run().is_some());
+                        for gpu in &gpus {
+                            for calib in &calibs {
+                                let generic = gpu.run_phase_deterministic(plan.kernels(), calib);
+                                let layered =
+                                    gpu.run_phase_layered(plan.kernels(), plan.layer_run(), calib);
+                                assert_eq!(
+                                    phase_bits(&layered),
+                                    phase_bits(&generic),
+                                    "{id} {prec:?} {kind} batch {batch} shape {shape} \
+                                     mode {:?} derate {:?} calib {calib:?}",
+                                    gpu.mode(),
+                                    gpu.derate(),
+                                );
+                                compared += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 10 * 2 * 5 * 11 * 7 * 3);
 }
 
 /// PR10 knobs-off contract, leg 1: tagging arrivals with a FIFO admission
